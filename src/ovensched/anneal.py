@@ -20,7 +20,7 @@ from typing import Union
 from .bounds import BoundReport
 from .greedy import construct
 from .model import Batch, CostBreakdown, Instance, ObjectiveWeights, Solution
-from .schedule import InfeasibleBatch, machine_cost, relative_gap, schedule_machine
+from .schedule import InfeasibleBatch, Layout, machine_cost, relative_gap, schedule_machine
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,6 @@ class MoveJobNewBatch:
 
 
 Move = Union[SwapBatches, ReinsertBatch, MoveJob, MoveJobNewBatch]
-
-Layout = list[list[list[int]]]
 
 
 def _locate(layout: Layout, job_id: int) -> tuple[int, int]:

@@ -138,7 +138,7 @@ def parse_instance(text: str) -> Instance:
     for key in ("machines", "jobs", "attributes"):
         no, line = reader.next(f"'{key} <count>'")
         tokens = line.split()
-        if len(tokens) != 2 or tokens[0] != key or not tokens[1].lstrip("-").isdigit():
+        if len(tokens) != 2 or tokens[0] != key or not tokens[1].isdecimal():
             raise ParseError(no, f"'{key} <count>'")
         counts[key] = int(tokens[1])
 
@@ -266,7 +266,7 @@ def parse_solution(text: str, instance: Instance) -> Solution:
         no, line = reader.next("'machine <id>' or 'batch ...'")
         tokens = line.split()
         if tokens[0] == "machine":
-            if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) != len(rows) + 1:
+            if len(tokens) != 2 or not tokens[1].isdecimal() or int(tokens[1]) != len(rows) + 1:
                 raise ParseError(no, f"'machine {len(rows) + 1}'")
             current = []
             rows.append(current)

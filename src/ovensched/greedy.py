@@ -7,10 +7,11 @@ earliest due date opens a batch on the machine that can start it earliest
 jobs join in due-date order while capacity and the availability window
 allow. When nothing can start, time advances.
 
-The default implementation jumps straight to the next time at which any
-job can start; this is provably the same schedule the unit-step simulation
+The implementation jumps straight to the next time at which any job can
+start; this is provably the same schedule the unit-step simulation
 produces, because nothing in the machine state changes between placements.
-The literal unit stepper is kept for cross-checking (unit_stepping=True).
+tests/test_greedy.py keeps the literal unit stepper as a cross-check.
+Window placement goes through Machine.earliest_start.
 """
 
 from __future__ import annotations
@@ -44,26 +45,20 @@ def _earliest_start(instance: Instance, state: _MachineState, job: Job, now: int
         return None
     setup = instance.setup_time(state.prev_attribute, job.attribute)
     lower = max(job.release, state.prev_end + setup, now)
-    for win_start, win_end in machine.availability:
-        candidate = max(lower, win_start + setup)
-        if candidate + job.min_time <= win_end:
-            return candidate
-    return None
+    return machine.earliest_start(lower, setup, job.min_time)
 
 
 def _can_start_now(instance: Instance, state: _MachineState, job: Job, now: int) -> bool:
+    # the cheap exits come first: this runs about a million times at n=1000
+    if job.release > now:
+        return False
     machine = state.machine
     if machine.id not in job.eligible or machine.capacity < job.size:
         return False
-    if job.release > now:
-        return False
     setup = instance.setup_time(state.prev_attribute, job.attribute)
-    if now - setup < state.prev_end:
+    if state.prev_end + setup > now:
         return False
-    return any(
-        win_start + setup <= now and now + job.min_time <= win_end
-        for win_start, win_end in machine.availability
-    )
+    return machine.earliest_start(now, setup, job.min_time) == now
 
 
 def _open_batch(
@@ -76,9 +71,6 @@ def _open_batch(
     """Start a batch with the lead job and fill it in due-date order."""
     machine = state.machine
     setup = instance.setup_time(state.prev_attribute, lead.attribute)
-    window = next(
-        (w for w in machine.availability if w[0] + setup <= now and now + lead.min_time <= w[1])
-    )
     members = [lead]
     total_size = lead.size
     proc = lead.min_time
@@ -99,7 +91,7 @@ def _open_batch(
             continue
         new_proc = max(proc, job.min_time)
         new_cap = min(max_cap, job.max_time)
-        if new_proc > new_cap or now + new_proc > window[1]:
+        if new_proc > new_cap or machine.earliest_start(now, setup, new_proc) != now:
             continue
         members.append(job)
         total_size += job.size
@@ -124,9 +116,7 @@ def _pick_machine(
 
 
 def construct(
-    instance: Instance,
-    weights: ObjectiveWeights | None = None,
-    unit_stepping: bool = False,
+    instance: Instance, weights: ObjectiveWeights | None = None
 ) -> tuple[Solution, CostBreakdown]:
     """Build a feasible schedule with the dispatching rule; also an upper bound.
 
@@ -139,9 +129,6 @@ def construct(
     states = [_MachineState(m) for m in instance.machines]
     unscheduled = {j.id: j for j in instance.jobs}
     by_due = sorted(instance.jobs, key=lambda j: (j.due, j.id))
-    horizon = max(
-        (end for m in instance.machines for _, end in m.availability), default=0
-    )
 
     now = 0
     while unscheduled:
@@ -158,22 +145,16 @@ def construct(
                     break
         if not unscheduled:
             break
-        if unit_stepping:
-            now += 1
-            if now > horizon:
-                remaining = next(j for j in by_due if j.id in unscheduled)
-                raise Unschedulable(remaining.id)
-        else:
-            upcoming = [
-                start
-                for job in unscheduled.values()
-                for state in states
-                if (start := _earliest_start(instance, state, job, now + 1)) is not None
-            ]
-            if not upcoming:
-                remaining = next(j for j in by_due if j.id in unscheduled)
-                raise Unschedulable(remaining.id)
-            now = min(upcoming)
+        upcoming = [
+            start
+            for job in unscheduled.values()
+            for state in states
+            if (start := _earliest_start(instance, state, job, now + 1)) is not None
+        ]
+        if not upcoming:
+            remaining = next(j for j in by_due if j.id in unscheduled)
+            raise Unschedulable(remaining.id)
+        now = min(upcoming)
 
     solution = Solution(tuple(tuple(s.batches) for s in states))
     return solution, evaluate(instance, solution, weights, check=False)

@@ -35,6 +35,21 @@ class Machine:
             self, "availability", tuple((int(s), int(e)) for s, e in self.availability)
         )
 
+    def earliest_start(self, lower: int, setup: int, proc: int) -> int | None:
+        """Earliest start >= lower of a batch with the given setup and processing time.
+
+        The setup plus processing span [start - setup, start + proc] must fit
+        inside one availability window; this is the package's only search of
+        the windows for a start time. Windows are sorted and disjoint
+        (validate_instance), so the first fit is the earliest. Returns None
+        when no window can host the span.
+        """
+        for win_start, win_end in self.availability:
+            start = max(lower, win_start + setup)
+            if start + proc <= win_end:
+                return start
+        return None
+
 
 @dataclass(frozen=True)
 class Job:
@@ -254,12 +269,8 @@ def earliest_solo_completion(
     if machine.capacity < job.size:
         return None
     st_min = instance.min_setup_time_into(job.attribute) if include_min_setup else 0
-    for win_start, win_end in machine.availability:
-        start = max(job.release, win_start + st_min)
-        if start + job.min_time <= win_end:
-            # windows are sorted, so the first fit is the earliest completion
-            return start + job.min_time
-    return None
+    start = machine.earliest_start(job.release, st_min, job.min_time)
+    return None if start is None else start + job.min_time
 
 
 def job_completions(instance: Instance, solution: Solution) -> dict[int, int]:

@@ -132,34 +132,21 @@ def _make_block(instance: Instance, ids: tuple[int, ...]) -> _Block:
     )
 
 
-def _place_after(
-    machine: Machine, setup: int, prev_end: int, block: _Block
-) -> int | None:
-    """Earliest start of the block after the given machine state, or None."""
-    lower = max(block.release, prev_end + setup)
-    for win_start, win_end in machine.availability:
-        candidate = max(lower, win_start + setup)
-        if candidate + block.proc <= win_end:
-            return candidate
-    return None
+def _block_tardy_floor(instance: Instance, block: _Block) -> int | None:
+    """Members of the block that are late wherever the whole block runs.
 
-
-def _block_tardy_floor(instance: Instance, block: _Block) -> int:
-    """Members of the block that are late wherever the whole block runs."""
-    best_end = None
-    for machine_id in block.machines:
-        machine = instance.machine(machine_id)
-        st_min = instance.min_setup_time_into(block.attribute)
-        for win_start, win_end in machine.availability:
-            start = max(block.release, win_start + st_min)
-            if start + block.proc <= win_end:
-                end = start + block.proc
-                if best_end is None or end < best_end:
-                    best_end = end
-                break
-    if best_end is None:
-        return None  # block fits nowhere; the batching is infeasible
-    return block.tardy_at(best_end)
+    None when the block fits on none of its machines, so the batching is
+    infeasible.
+    """
+    st_min = instance.min_setup_time_into(block.attribute)
+    starts = (
+        instance.machine(m).earliest_start(block.release, st_min, block.proc)
+        for m in block.machines
+    )
+    first = min((start for start in starts if start is not None), default=None)
+    if first is None:
+        return None
+    return block.tardy_at(first + block.proc)
 
 
 class _MachineOrderSearch:
@@ -210,7 +197,9 @@ class _MachineOrderSearch:
                 return
             for idx, block in enumerate(remaining):
                 setup_time = self.instance.setup_time(prev_attr, block.attribute)
-                start = _place_after(machine, setup_time, prev_end, block)
+                start = machine.earliest_start(
+                    max(block.release, prev_end + setup_time), setup_time, block.proc
+                )
                 if start is None:
                     continue
                 end = start + block.proc

@@ -4,7 +4,9 @@ A *layout* is the compact solution representation: for every machine, an
 ordered list of job-id batches. build_schedule turns a layout into concrete
 start and processing times (always the earliest feasible start and the
 shortest feasible processing time, which never hurts any objective
-component).
+component). The earliest start comes from Machine.earliest_start, the one
+place the availability-window rule lives; check_feasibility verifies given
+start times against the windows on its own.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .model import (
     Solution,
     Violation,
     errors_only,
-    job_completions,
 )
 
 Layout = Sequence[Sequence[Collection[int]]]
@@ -74,12 +75,7 @@ def schedule_machine(
             raise InfeasibleBatch(machine.id, position, "incompatible processing times")
         setup = instance.setup_time(prev_attribute, attribute)
         lower = max(max(j.release for j in jobs), prev_end + setup)
-        start = None
-        for win_start, win_end in machine.availability:
-            candidate = max(lower, win_start + setup)
-            if candidate + proc <= win_end:
-                start = candidate
-                break
+        start = machine.earliest_start(lower, setup, proc)
         if start is None:
             raise InfeasibleBatch(machine.id, position, "no availability window fits")
         batches.append(Batch(frozenset(j.id for j in jobs), start, proc))
@@ -260,8 +256,3 @@ def relative_gap(value: float, bound: float) -> float:
     if value == 0 and bound == 0:
         return 0.0
     return 100.0 * (value - bound) / value
-
-
-def completion_times(instance: Instance, solution: Solution) -> dict[int, int]:
-    """Alias for model.job_completions kept next to the evaluator."""
-    return job_completions(instance, solution)

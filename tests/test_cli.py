@@ -168,10 +168,13 @@ def test_missing_file_is_usage_error(capsys):
 
 def test_bad_instance_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.osp"
-    bad.write_text("osp-instance v1\nmachines nope\n")
-    code, _, err = run(capsys, "bounds", str(bad))
-    assert code == 2
-    assert "infeasible" in err
+    lines = EXAMPLE_PATH.read_text().splitlines(keepends=True)
+    no_jobs = "".join(line for line in lines if not line.startswith("job "))
+    for text in ("osp-instance v1\nmachines nope\n", no_jobs.replace("jobs 10", "jobs -3")):
+        bad.write_text(text)
+        code, _, err = run(capsys, "bounds", str(bad))
+        assert code == 2
+        assert "infeasible" in err
 
 
 def test_help_exits_zero(capsys):

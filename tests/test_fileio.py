@@ -60,6 +60,16 @@ def test_parse_errors():
     truncated = "\n".join(good.splitlines()[:8])
     with pytest.raises(ParseError):
         parse_instance(truncated)
+    # negative or non-ASCII-integer header counts are malformed, not empty
+    for line, bad in (
+        ("jobs 10", "jobs -3"),
+        ("machines 2", "machines -1"),
+        ("attributes 2", "attributes -1"),
+        ("machines 2", "machines \u00b2"),
+    ):
+        key = line.split()[0]
+        with pytest.raises(ParseError, match=f"'{key} <count>'"):
+            parse_instance(good.replace(line, bad, 1))
 
 
 def test_parse_error_carries_location():

@@ -6,12 +6,13 @@ from ovensched import (
     Instance,
     Job,
     Machine,
+    Solution,
     check_feasibility,
     construct,
     generate_instance,
     objective_lb,
 )
-from ovensched.greedy import Unschedulable
+from ovensched.greedy import Unschedulable, _MachineState, _open_batch, _pick_machine
 
 from conftest import tiny_config
 
@@ -67,11 +68,38 @@ def test_identical_jobs_chunk_by_capacity():
     assert cost.proc_time == 30
 
 
+def _unit_stepping_schedule(instance: Instance) -> Solution:
+    """The dispatching rule simulated literally, one time unit at a time.
+
+    construct jumps straight to the next time at which some job can start;
+    this reference visits every time up to the last window end instead.
+    """
+    states = [_MachineState(m) for m in instance.machines]
+    unscheduled = {j.id: j for j in instance.jobs}
+    by_due = sorted(instance.jobs, key=lambda j: (j.due, j.id))
+    horizon = max((end for m in instance.machines for _, end in m.availability), default=0)
+    now = 0
+    while unscheduled and now <= horizon:
+        placed = True
+        while placed:
+            placed = False
+            for job in by_due:
+                if job.id not in unscheduled:
+                    continue
+                state = _pick_machine(instance, states, job, now)
+                if state is not None:
+                    _open_batch(instance, state, job, now, unscheduled)
+                    placed = True
+                    break
+        now += 1
+    return Solution(tuple(tuple(s.batches) for s in states))
+
+
 def test_unit_stepping_equivalence(example):
-    assert construct(example) == construct(example, unit_stepping=True)
+    assert construct(example)[0] == _unit_stepping_schedule(example)
     for seed in range(15):
         inst = generate_instance(tiny_config(7, 3000 + seed))
-        assert construct(inst) == construct(inst, unit_stepping=True)
+        assert construct(inst)[0] == _unit_stepping_schedule(inst)
 
 
 def test_feasible_and_above_lb_on_random_instances():

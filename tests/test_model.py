@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ovensched import (
     Instance,
@@ -54,6 +55,36 @@ def test_job_fitting_no_window_is_an_error(example):
     inst = Instance(machines, example.jobs, 2, example.setup_times, example.setup_costs)
     assert any(
         v.rule == "availability" and v.entity == "job 8" for v in validate_instance(inst)
+    )
+
+
+@st.composite
+def _windows(draw) -> tuple[tuple[int, int], ...]:
+    """Sorted, disjoint closed windows, as validate_instance requires."""
+    windows = []
+    prev_end = -1
+    spans = draw(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 30)), max_size=4))
+    for gap, length in spans:
+        start = prev_end + 1 + gap
+        windows.append((start, start + length))
+        prev_end = start + length
+    return tuple(windows)
+
+
+def _brute_earliest_start(availability, lower, setup, proc):
+    """First integer start >= lower whose [start - setup, start + proc] fits a window."""
+    horizon = max((end for _, end in availability), default=0)
+    for start in range(lower, horizon + 1):
+        if any(ws <= start - setup and start + proc <= we for ws, we in availability):
+            return start
+    return None
+
+
+@given(_windows(), st.integers(0, 150), st.integers(0, 15), st.integers(0, 40))
+def test_earliest_start_matches_brute_force(windows, lower, setup, proc):
+    machine = Machine(1, 10, 1, windows)
+    assert machine.earliest_start(lower, setup, proc) == _brute_earliest_start(
+        windows, lower, setup, proc
     )
 
 
