@@ -4,9 +4,15 @@ Four neighborhood moves (swap consecutive batches, reinsert a batch, move a
 job into an existing batch, move a job into a new batch), geometric cooling,
 Metropolis acceptance on the normalized objective, and stopping on final
 temperature, wall-clock limit, or a relative gap to a supplied lower bound.
-Starts from the greedy construction. After a move only the affected
-machines are rescheduled; layouts that fail the cheap structural checks or
-cannot be scheduled are discarded without evaluation.
+Starts from the greedy construction. Moves are evaluated incrementally:
+each batch of the current layout carries a summary of its jobs
+(schedule.summarize), made once when a move creates the batch, and each
+machine row keeps its schedule state per position. A move reschedules an
+edited row only from its first changed batch, and stops as soon as the row
+is back on the old row's unchanged tail in the same (attribute, end) state;
+the cost change is the new entries minus the replaced ones. Moves that fail
+the cheap structural checks or cannot be scheduled are discarded. Batch
+objects are built only for the returned best solution.
 """
 
 from __future__ import annotations
@@ -14,13 +20,24 @@ from __future__ import annotations
 import math
 import random
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Union
+from functools import partial
+from itertools import accumulate, chain
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .bounds import BoundReport
 from .greedy import construct
-from .model import Batch, CostBreakdown, Instance, ObjectiveWeights, Solution
-from .schedule import InfeasibleBatch, Layout, machine_cost, relative_gap, schedule_machine
+from .model import CostBreakdown, Instance, Machine, ObjectiveWeights
+from .schedule import (
+    BatchSummary,
+    Layout,
+    batch_fault,
+    build_schedule,
+    place_batch,
+    relative_gap,
+    summarize,
+)
 
 
 @dataclass(frozen=True)
@@ -121,6 +138,27 @@ def _locate(layout: Layout, job_id: int) -> tuple[int, int]:
     raise ValueError(f"job {job_id} not in layout")
 
 
+def _job_at(layout: Layout, index: int) -> tuple[int, int, int]:
+    """(job id, machine, batch) of the index-th job in layout order."""
+    for m, row in enumerate(layout):
+        size = sum(map(len, row))
+        if index < size:
+            ends = list(accumulate(map(len, row)))
+            b = bisect_right(ends, index)
+            return row[b][index - ends[b] + len(row[b])], m, b
+        index -= size
+    raise IndexError("job index out of range")
+
+
+def _batch_at(layout: Layout, index: int) -> tuple[int, int]:
+    """(machine, batch) of the index-th batch in layout order."""
+    for m, row in enumerate(layout):
+        if index < len(row):
+            return m, index
+        index -= len(row)
+    raise IndexError("batch index out of range")
+
+
 def sample_move(
     instance: Instance,
     layout: Layout,
@@ -131,16 +169,18 @@ def sample_move(
 
     Kinds whose argument space is empty are excluded from the draw (the
     distribution is the same as resampling until a usable kind comes up).
-    Raises NoMoveAvailable when no kind has arguments.
+    Jobs and batches are drawn by their index in layout order, and a job
+    moves into any batch but its own. Raises NoMoveAvailable when no kind
+    has arguments.
     """
     multi_batch_machines = [m for m, row in enumerate(layout) if len(row) >= 2]
-    total_batches = sum(len(row) for row in layout)
-    job_ids = [job_id for row in layout for batch in row for job_id in batch]
+    total_batches = sum(map(len, layout))
+    total_jobs = sum(map(len, chain.from_iterable(layout)))
     available = (
         bool(multi_batch_machines),
         bool(multi_batch_machines),
         total_batches >= 2,
-        bool(job_ids),
+        total_jobs > 0,
     )
     weights = [p if ok else 0.0 for p, ok in zip(probs, available)]
     total = sum(weights)
@@ -165,46 +205,91 @@ def sample_move(
         if dst >= src:
             dst += 1
         return ReinsertBatch(machine, src, dst)
+    job_id, m0, b0 = _job_at(layout, rng.randrange(total_jobs))
     if kind == 2:
-        job_id = job_ids[rng.randrange(len(job_ids))]
-        own = _locate(layout, job_id)
-        slots = [
-            (m, b) for m, row in enumerate(layout) for b in range(len(row)) if (m, b) != own
-        ]
-        machine, batch = slots[rng.randrange(len(slots))]
+        slot = rng.randrange(total_batches - 1)
+        if slot >= sum(map(len, layout[:m0])) + b0:
+            slot += 1
+        machine, batch = _batch_at(layout, slot)
         return MoveJob(job_id, machine, batch)
-    job_id = job_ids[rng.randrange(len(job_ids))]
     eligible = sorted(instance.job(job_id).eligible)
     machine_id = eligible[rng.randrange(len(eligible))]
     machine = next(i for i, m in enumerate(instance.machines) if m.id == machine_id)
     return MoveJobNewBatch(job_id, machine, rng.randrange(len(layout[machine]) + 1))
 
 
-def apply_move(instance: Instance, layout: Layout, move: Move) -> Layout | None:
-    """Apply a move, returning the new layout or None when cheaply rejected.
+class _RowEdit:
+    """A copy of one machine row under edit, with the span that changed.
 
-    Cheap rejections cover attribute mixing, capacity, processing-time
-    incompatibility and eligibility; scheduling feasibility is left to the
-    rebuild. Unaffected machine rows are shared with the input layout.
+    Invariant: row[:start] is old[:start] and row[stop:] is old[stop - shift:],
+    batch by batch, where shift = len(row) - len(old). Batches are never
+    changed in place, so unchanged ones are shared with the old row.
     """
-    new_layout = list(layout)
+
+    __slots__ = ("row", "start", "stop")
+
+    def __init__(self, old: Sequence[list[int]]):
+        self.row = list(old)
+        self.start = len(old)
+        self.stop = 0
+
+    def replace(self, b: int, batch: list[int]) -> None:
+        self.row[b] = batch
+        self.start = min(self.start, b)
+        self.stop = max(self.stop, b + 1)
+
+    def delete(self, b: int) -> None:
+        del self.row[b]
+        self.start = min(self.start, b)
+        self.stop = max(self.stop - 1, b)
+
+    def insert(self, b: int, batch: list[int]) -> None:
+        self.row.insert(b, batch)
+        self.start = min(self.start, b)
+        self.stop = max(self.stop, b) + 1
+
+    def remove_job(self, b: int, job_id: int) -> None:
+        rest = [j for j in self.row[b] if j != job_id]
+        if rest:
+            self.replace(b, rest)
+        else:
+            self.delete(b)
+
+
+def _edit_rows(
+    instance: Instance,
+    layout: Layout,
+    move: Move,
+    locate: Callable[[int], tuple[int, int]],
+) -> dict[int, _RowEdit] | None:
+    """The edited rows of a move by machine index, or None when cheaply rejected.
+
+    `locate` maps a job id to its (machine, batch) in the layout.
+    """
+    edits: dict[int, _RowEdit] = {}
+
+    def edit(m: int) -> _RowEdit:
+        if m not in edits:
+            edits[m] = _RowEdit(layout[m])
+        return edits[m]
 
     if isinstance(move, SwapBatches):
-        row = list(layout[move.machine])
-        row[move.position], row[move.position + 1] = row[move.position + 1], row[move.position]
-        new_layout[move.machine] = row
-        return new_layout
+        row = edit(move.machine)
+        first, second = row.row[move.position], row.row[move.position + 1]
+        row.replace(move.position, second)
+        row.replace(move.position + 1, first)
+        return edits
 
     if isinstance(move, ReinsertBatch):
-        row = list(layout[move.machine])
-        batch = row.pop(move.src)
+        row = edit(move.machine)
+        batch = row.row[move.src]
+        row.delete(move.src)
         row.insert(move.dst, batch)
-        new_layout[move.machine] = row
-        return new_layout
+        return edits
 
+    job = instance.job(move.job)
     if isinstance(move, MoveJob):
-        job = instance.job(move.job)
-        m0, b0 = _locate(layout, move.job)
+        m0, b0 = locate(move.job)
         m1, b1 = move.machine, move.batch
         if (m0, b0) == (m1, b1):
             return None
@@ -220,43 +305,158 @@ def apply_move(instance: Instance, layout: Layout, move: Move) -> Layout | None:
         hi = min(min(t.max_time for t in target), job.max_time)
         if lo > hi:
             return None
-        if m0 == m1:
-            row = [list(b) for b in layout[m0]]
-            row[b1] = sorted(row[b1] + [move.job])
-            row[b0].remove(move.job)
-            if not row[b0]:
-                del row[b0]
-            new_layout[m0] = row
-        else:
-            row0 = [list(b) for b in layout[m0]]
-            row0[b0].remove(move.job)
-            if not row0[b0]:
-                del row0[b0]
-            row1 = [list(b) for b in layout[m1]]
-            row1[b1] = sorted(row1[b1] + [move.job])
-            new_layout[m0] = row0
-            new_layout[m1] = row1
-        return new_layout
+        edit(m1).replace(b1, sorted([*layout[m1][b1], move.job]))
+        edit(m0).remove_job(b0, move.job)
+        return edits
 
-    job = instance.job(move.job)
-    machine = instance.machines[move.machine]
-    if job.size > machine.capacity:
+    if job.size > instance.machines[move.machine].capacity:
         return None
-    m0, b0 = _locate(layout, move.job)
-    row0 = [list(b) for b in layout[m0]]
-    row0[b0].remove(move.job)
-    if not row0[b0]:
-        del row0[b0]
-    new_layout[m0] = row0
-    row1 = row0 if move.machine == m0 else [list(b) for b in layout[move.machine]]
-    position = min(move.position, len(row1))
-    row1.insert(position, [move.job])
-    new_layout[move.machine] = row1
+    m0, b0 = locate(move.job)
+    edit(m0).remove_job(b0, move.job)
+    row = edit(move.machine)
+    row.insert(min(move.position, len(row.row)), [move.job])
+    return edits
+
+
+def apply_move(instance: Instance, layout: Layout, move: Move) -> Layout | None:
+    """Apply a move, returning the new layout or None when cheaply rejected.
+
+    Cheap rejections cover attribute mixing, capacity, processing-time
+    incompatibility and eligibility; scheduling feasibility is left to the
+    rebuild. Unaffected machine rows, and the batches the move leaves alone,
+    are shared with the input layout.
+    """
+    edits = _edit_rows(instance, layout, move, partial(_locate, layout))
+    if edits is None:
+        return None
+    new_layout = list(layout)
+    for m, edit in edits.items():
+        new_layout[m] = edit.row
     return new_layout
 
 
-def _affected(layout: Layout, new_layout: Layout) -> list[int]:
-    return [m for m in range(len(layout)) if new_layout[m] is not layout[m]]
+class _Row(NamedTuple):
+    """One machine row of the search: its batches, their summaries, its schedule.
+
+    states[i] is the (attribute, end, processing time, tardy jobs, setup cost)
+    entry of batch i - 1; states[0] is the machine's initial attribute at
+    time 0 with no cost. cost sums the last three fields over the row.
+    """
+
+    batches: list[list[int]]
+    summaries: list[BatchSummary]
+    states: list[tuple[int, int, int, int, int]]
+    cost: tuple[int, int, int]
+
+
+def _reschedule(
+    instance: Instance, machine: Machine, old: _Row, batches: list[list[int]], start: int, stop: int
+) -> _Row | None:
+    """The row of the given batches, or None when one of them cannot be scheduled.
+
+    batches differs from the old row only in [start, stop), as in _RowEdit.
+    Only batches that are not in the old row are summarized and checked
+    against the batch rules. Scheduling starts at `start` from the old state
+    there and stops as soon as the row is back on the old row's unchanged
+    tail with the same (attribute, end) state.
+    """
+    shift = len(batches) - len(old.batches)
+    old_span = slice(start, stop - shift)
+    known = dict(zip(map(id, old.batches[old_span]), old.summaries[old_span]))
+    span = []
+    for batch in batches[start:stop]:
+        summary = known.get(id(batch))
+        if summary is None:
+            summary = summarize(instance, batch)
+            if batch_fault(instance, machine, batch, summary) is not None:
+                return None
+        span.append(summary)
+    summaries = old.summaries[:start] + span + old.summaries[stop - shift :]
+
+    states = old.states
+    setup_costs = instance.setup_costs
+    attribute, end = states[start][:2]
+    proc, tardy, setup = old.cost
+    new_states = states[: start + 1]
+    resume = len(old.batches)
+    for i in range(start, len(batches)):
+        if i >= stop:
+            prior = states[i - shift]
+            if prior[1] == end and prior[0] == attribute:
+                resume = i - shift
+                break
+        summary = summaries[i]
+        begin = place_batch(instance, machine, summary, attribute, end)
+        if begin is None:
+            return None
+        end = begin + summary.proc
+        late = bisect_left(summary.dues, end)
+        cost = setup_costs[attribute - 1][summary.attribute - 1]
+        attribute = summary.attribute
+        new_states.append((attribute, end, summary.proc, late, cost))
+        proc += summary.proc
+        tardy += late
+        setup += cost
+    for _, _, p, t, s in states[start + 1 : resume + 1]:
+        proc -= p
+        tardy -= t
+        setup -= s
+    new_states += states[resume + 1 :]
+    return _Row(batches, summaries, new_states, (proc, tardy, setup))
+
+
+class _Search:
+    """The annealer's current layout, evaluated incrementally.
+
+    Each machine row keeps its batch summaries and per-position schedule
+    state (_Row), so a move is costed by rescheduling only the changed part
+    of the rows it edits. totals are the (processing time, tardy jobs,
+    setup cost) of the whole layout.
+    """
+
+    def __init__(self, instance: Instance, layout: Layout):
+        self.instance = instance
+        self.layout: list[list[list[int]]] = [list(row) for row in layout]
+        self.rows: list[_Row] = []
+        for machine, row in zip(instance.machines, self.layout):
+            empty = _Row([], [], [(machine.initial_attribute, 0, 0, 0, 0)], (0, 0, 0))
+            scheduled = _reschedule(instance, machine, empty, row, 0, len(row))
+            if scheduled is None:
+                raise ValueError(f"machine {machine.id} row cannot be scheduled")
+            self.rows.append(scheduled)
+        self.totals = tuple(map(sum, zip(*(r.cost for r in self.rows))))
+        self.row_of = {j: m for m, row in enumerate(self.layout) for b in row for j in b}
+
+    def locate(self, job_id: int) -> tuple[int, int]:
+        m = self.row_of[job_id]
+        return m, next(b for b, batch in enumerate(self.layout[m]) if job_id in batch)
+
+    def evaluate(self, move: Move) -> tuple[dict[int, _Row], tuple[int, int, int]] | None:
+        """(new rows by machine index, new totals) of a move; None when infeasible."""
+        edits = _edit_rows(self.instance, self.layout, move, self.locate)
+        if edits is None:
+            return None
+        proc, tardy, setup = self.totals
+        rows = {}
+        for m, edit in edits.items():
+            old = self.rows[m]
+            machine = self.instance.machines[m]
+            row = _reschedule(self.instance, machine, old, edit.row, edit.start, edit.stop)
+            if row is None:
+                return None
+            proc += row.cost[0] - old.cost[0]
+            tardy += row.cost[1] - old.cost[1]
+            setup += row.cost[2] - old.cost[2]
+            rows[m] = row
+        return rows, (proc, tardy, setup)
+
+    def accept(self, move: Move, rows: dict[int, _Row], totals: tuple[int, int, int]) -> None:
+        for m, row in rows.items():
+            self.rows[m] = row
+            self.layout[m] = row.batches
+        if isinstance(move, (MoveJob, MoveJobNewBatch)):
+            self.row_of[move.job] = move.machine
+        self.totals = totals
 
 
 def run_annealing(
@@ -282,17 +482,9 @@ def run_annealing(
 
     greedy_solution, greedy_cost = construct(instance, weights)
     layout: Layout = greedy_solution.layout()
-    scheds: list[tuple[Batch, ...]] = list(greedy_solution.batches)
-    comps = [
-        machine_cost(instance, machine, batches)
-        for machine, batches in zip(instance.machines, scheds)
-    ]
-    proc = sum(c[0] for c in comps)
-    tardy = sum(c[1] for c in comps)
-    setup = sum(c[2] for c in comps)
     current_obj = greedy_cost.objective
 
-    best_scheds = tuple(scheds)
+    best_layout: Layout | None = None  # None while the greedy start is best
     best_cost = greedy_cost
 
     trace_points = [TracePoint(0.0, best_cost)]
@@ -304,7 +496,7 @@ def run_annealing(
     def finish(reason: str) -> AnnealResult:
         trace_points.append(TracePoint(elapsed(), best_cost))
         return AnnealResult(
-            solution=Solution(best_scheds),
+            solution=greedy_solution if best_layout is None else build_schedule(instance, best_layout),
             cost=best_cost,
             trace=AnnealTrace(params.trace_period, tuple(trace_points)),
             stop_reason=reason,
@@ -326,38 +518,25 @@ def run_annealing(
     if instance.n_jobs == 0 or sum(len(r) for r in layout) == 0:
         return finish("no_moves")
 
-    def try_move(base_layout: Layout):
+    search = _Search(instance, layout)
+
+    def try_move():
         """Sample and evaluate one move; None when rejected or infeasible."""
-        move = sample_move(instance, base_layout, rng, params.move_probs)
-        new_layout = apply_move(instance, base_layout, move)
-        if new_layout is None:
+        move = sample_move(instance, search.layout, rng, params.move_probs)
+        outcome = search.evaluate(move)
+        if outcome is None:
             return None
-        changed = _affected(base_layout, new_layout)
-        new_rows = {}
-        try:
-            for m in changed:
-                new_rows[m] = schedule_machine(instance, instance.machines[m], new_layout[m])
-        except InfeasibleBatch:
-            return None
-        new_comps = {
-            m: machine_cost(instance, instance.machines[m], new_rows[m]) for m in changed
-        }
-        d_proc = sum(new_comps[m][0] - comps[m][0] for m in changed)
-        d_tardy = sum(new_comps[m][1] - comps[m][1] for m in changed)
-        d_setup = sum(new_comps[m][2] - comps[m][2] for m in changed)
-        new_obj = weights.objective(
-            proc + d_proc, tardy + d_tardy, setup + d_setup, instance.n_jobs
-        )
-        return new_layout, new_rows, new_comps, (d_proc, d_tardy, d_setup), new_obj
+        rows, totals = outcome
+        return move, rows, totals, weights.objective(*totals, instance.n_jobs)
 
     # warm-up: average |delta| of random moves around the start solution
     deltas = []
     for _ in range(params.warmup_moves):
         if elapsed() >= params.time_limit:
             return finish("time")
-        outcome = try_move(layout)
+        outcome = try_move()
         if outcome is not None:
-            deltas.append(abs(outcome[4] - current_obj))
+            deltas.append(abs(outcome[3] - current_obj))
     mean_delta = sum(deltas) / len(deltas) if deltas else 0.0
     if mean_delta > 0:
         temperature = -mean_delta / math.log(params.accepted_ratio)
@@ -370,23 +549,17 @@ def run_annealing(
         for _ in range(moves_per_level):
             if elapsed() >= params.time_limit:
                 return finish("time")
-            outcome = try_move(layout)
+            outcome = try_move()
             if outcome is None:
                 continue
-            new_layout, new_rows, new_comps, (d_p, d_t, d_s), new_obj = outcome
+            move, rows, totals, new_obj = outcome
             delta = new_obj - current_obj
             if delta <= 0 or rng.random() < math.exp(-delta / temperature):
-                layout = new_layout
-                for m, row in new_rows.items():
-                    scheds[m] = row
-                    comps[m] = new_comps[m]
-                proc += d_p
-                tardy += d_t
-                setup += d_s
+                search.accept(move, rows, totals)
                 current_obj = new_obj
                 if new_obj < best_cost.objective:
-                    best_scheds = tuple(scheds)
-                    best_cost = CostBreakdown(proc, tardy, setup, new_obj)
+                    best_layout = list(search.layout)
+                    best_cost = CostBreakdown(*totals, new_obj)
                     if gap_reached(best_cost):
                         return finish("gap")
             now = elapsed()

@@ -12,7 +12,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -71,6 +70,9 @@ def _pool_workers(task_count: int, override: int | None) -> int:
 def _map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here: the pool module is a sizeable share of the CLI's start-up
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

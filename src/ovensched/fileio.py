@@ -115,10 +115,22 @@ class _LineReader:
         return self.pos >= len(self.lines)
 
 
+def _int(token: str, signed: bool = True) -> int:
+    """An integer token: ASCII digits, after one leading '-' when signed.
+
+    Raises ValueError on anything else; int() alone would also accept '_'
+    separators, a '+' sign and non-ASCII digits.
+    """
+    digits = token[1:] if signed and token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def _int_field(tokens: list[str], key: str, line_no: int) -> int:
     try:
         idx = tokens.index(key)
-        return int(tokens[idx + 1])
+        return _int(tokens[idx + 1])
     except (ValueError, IndexError):
         raise ParseError(line_no, f"'{key} <integer>'") from None
 
@@ -138,9 +150,12 @@ def parse_instance(text: str) -> Instance:
     for key in ("machines", "jobs", "attributes"):
         no, line = reader.next(f"'{key} <count>'")
         tokens = line.split()
-        if len(tokens) != 2 or tokens[0] != key or not tokens[1].isdecimal():
-            raise ParseError(no, f"'{key} <count>'")
-        counts[key] = int(tokens[1])
+        try:
+            if len(tokens) != 2 or tokens[0] != key:
+                raise ValueError(line)
+            counts[key] = _int(tokens[1], signed=False)
+        except ValueError:
+            raise ParseError(no, f"'{key} <count>'") from None
 
     def read_matrix(name: str) -> list[list[int]]:
         no, line = reader.next(f"'{name}' section")
@@ -150,7 +165,7 @@ def parse_instance(text: str) -> Instance:
         for _ in range(counts["attributes"]):
             no, line = reader.next(f"{name} row of {counts['attributes']} integers")
             try:
-                row = [int(t) for t in line.split()]
+                row = [_int(t) for t in line.split()]
             except ValueError:
                 raise ParseError(no, f"{name} row of integers") from None
             if len(row) != counts["attributes"]:
@@ -168,7 +183,7 @@ def parse_instance(text: str) -> Instance:
         if tokens[:1] != ["machine"]:
             raise ParseError(no, "'machine <id> capacity <c> initial-attribute <a> windows ...'")
         try:
-            machine_id = int(tokens[1])
+            machine_id = _int(tokens[1])
         except (IndexError, ValueError):
             raise ParseError(no, "'machine <id> ...'") from None
         capacity = _int_field(tokens, "capacity", no)
@@ -183,7 +198,7 @@ def parse_instance(text: str) -> Instance:
             if len(parts) != 2:
                 raise ParseError(no, f"window '<start>..<end>', got '{token}'")
             try:
-                windows.append((int(parts[0]), int(parts[1])))
+                windows.append((_int(parts[0]), _int(parts[1])))
             except ValueError:
                 raise ParseError(no, f"window '<start>..<end>', got '{token}'") from None
         machines.append(Machine(machine_id, capacity, initial, tuple(windows)))
@@ -195,7 +210,7 @@ def parse_instance(text: str) -> Instance:
         if tokens[:1] != ["job"]:
             raise ParseError(no, "'job <id> attribute <a> size <s> ...'")
         try:
-            job_id = int(tokens[1])
+            job_id = _int(tokens[1])
         except (IndexError, ValueError):
             raise ParseError(no, "'job <id> ...'") from None
         attribute = _int_field(tokens, "attribute", no)
@@ -209,7 +224,7 @@ def parse_instance(text: str) -> Instance:
         except ValueError:
             raise ParseError(no, "'eligible <machine ids>'") from None
         try:
-            eligible = frozenset(int(t) for t in tokens[e_idx + 1 :])
+            eligible = frozenset(_int(t) for t in tokens[e_idx + 1 :])
         except ValueError:
             raise ParseError(no, "'eligible <machine ids>'") from None
         jobs.append(Job(job_id, attribute, size, release, due, min_time, max_time, eligible))
@@ -266,8 +281,11 @@ def parse_solution(text: str, instance: Instance) -> Solution:
         no, line = reader.next("'machine <id>' or 'batch ...'")
         tokens = line.split()
         if tokens[0] == "machine":
-            if len(tokens) != 2 or not tokens[1].isdecimal() or int(tokens[1]) != len(rows) + 1:
-                raise ParseError(no, f"'machine {len(rows) + 1}'")
+            try:
+                if len(tokens) != 2 or _int(tokens[1], signed=False) != len(rows) + 1:
+                    raise ValueError(line)
+            except ValueError:
+                raise ParseError(no, f"'machine {len(rows) + 1}'") from None
             current = []
             rows.append(current)
         elif tokens[0] == "batch":
@@ -277,7 +295,7 @@ def parse_solution(text: str, instance: Instance) -> Solution:
             processing = _int_field(tokens, "processing", no)
             try:
                 j_idx = tokens.index("jobs")
-                job_ids = frozenset(int(t) for t in tokens[j_idx + 1 :])
+                job_ids = frozenset(_int(t) for t in tokens[j_idx + 1 :])
             except ValueError:
                 raise ParseError(no, "'jobs <job ids>'") from None
             if not job_ids:

@@ -7,11 +7,16 @@ shortest feasible processing time, which never hurts any objective
 component). The earliest start comes from Machine.earliest_start, the one
 place the availability-window rule lives; check_feasibility verifies given
 start times against the windows on its own.
+
+Scheduling a batch is two steps that schedule_machine and the annealer's
+incremental move evaluation share: summarize reads the batch's jobs once
+into a BatchSummary, and batch_fault plus place_batch apply the batch rules
+and the placement to that summary.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 from .model import (
     Batch,
@@ -45,6 +50,69 @@ class InfeasibleSolution(Exception):
         super().__init__("; ".join(str(v) for v in violations))
 
 
+class BatchSummary(NamedTuple):
+    """What scheduling needs from a batch's jobs, read once per batch."""
+
+    attribute: int | None  # None when the jobs mix attributes
+    size: int
+    proc: int  # largest min_time: the shortest feasible processing time
+    max_time: int  # smallest max_time
+    release: int  # latest release
+    dues: tuple[int, ...]  # sorted, so tardy jobs are a bisect away
+    eligible: frozenset[int]  # machines every job of the batch may use
+
+
+def summarize(instance: Instance, job_ids: Collection[int]) -> BatchSummary:
+    """Summary of a non-empty batch of job ids."""
+    jobs = [instance.job(j) for j in job_ids]
+    attribute = jobs[0].attribute
+    return BatchSummary(
+        attribute if all(j.attribute == attribute for j in jobs) else None,
+        sum(j.size for j in jobs),
+        max(j.min_time for j in jobs),
+        min(j.max_time for j in jobs),
+        max(j.release for j in jobs),
+        tuple(sorted(j.due for j in jobs)),
+        frozenset.intersection(*(j.eligible for j in jobs)),
+    )
+
+
+def batch_fault(
+    instance: Instance, machine: Machine, job_ids: Collection[int], summary: BatchSummary
+) -> str | None:
+    """The first batch rule the jobs break on the machine, or None.
+
+    These rules do not depend on the batch's position in the row; the
+    availability windows are place_batch's part.
+    """
+    if summary.attribute is None:
+        return "jobs mix attributes"
+    if machine.id not in summary.eligible:
+        job_id = next(j for j in job_ids if machine.id not in instance.job(j).eligible)
+        return f"job {job_id} not eligible"
+    if summary.size > machine.capacity:
+        return "capacity exceeded"
+    if summary.proc > summary.max_time:
+        return "incompatible processing times"
+    return None
+
+
+def place_batch(
+    instance: Instance,
+    machine: Machine,
+    summary: BatchSummary,
+    prev_attribute: int,
+    prev_end: int,
+) -> int | None:
+    """Earliest start of a fault-free batch after the previous batch and its setup.
+
+    The start also waits for the latest release; None when no availability
+    window hosts the setup plus processing span.
+    """
+    setup = instance.setup_times[prev_attribute - 1][summary.attribute - 1]
+    return machine.earliest_start(max(summary.release, prev_end + setup), setup, summary.proc)
+
+
 def schedule_machine(
     instance: Instance, machine: Machine, batch_jobs: Sequence[Collection[int]]
 ) -> tuple[Batch, ...]:
@@ -59,28 +127,18 @@ def schedule_machine(
     prev_attribute = machine.initial_attribute
     prev_end = 0
     for position, job_ids in enumerate(batch_jobs):
-        jobs = [instance.job(j) for j in job_ids]
-        if not jobs:
+        if not job_ids:
             raise InfeasibleBatch(machine.id, position, "empty batch")
-        attribute = jobs[0].attribute
-        if any(j.attribute != attribute for j in jobs):
-            raise InfeasibleBatch(machine.id, position, "jobs mix attributes")
-        for j in jobs:
-            if machine.id not in j.eligible:
-                raise InfeasibleBatch(machine.id, position, f"job {j.id} not eligible")
-        if sum(j.size for j in jobs) > machine.capacity:
-            raise InfeasibleBatch(machine.id, position, "capacity exceeded")
-        proc = max(j.min_time for j in jobs)
-        if proc > min(j.max_time for j in jobs):
-            raise InfeasibleBatch(machine.id, position, "incompatible processing times")
-        setup = instance.setup_time(prev_attribute, attribute)
-        lower = max(max(j.release for j in jobs), prev_end + setup)
-        start = machine.earliest_start(lower, setup, proc)
+        summary = summarize(instance, job_ids)
+        fault = batch_fault(instance, machine, job_ids, summary)
+        if fault is not None:
+            raise InfeasibleBatch(machine.id, position, fault)
+        start = place_batch(instance, machine, summary, prev_attribute, prev_end)
         if start is None:
             raise InfeasibleBatch(machine.id, position, "no availability window fits")
-        batches.append(Batch(frozenset(j.id for j in jobs), start, proc))
-        prev_attribute = attribute
-        prev_end = start + proc
+        batches.append(Batch(frozenset(job_ids), start, summary.proc))
+        prev_attribute = summary.attribute
+        prev_end = start + summary.proc
     return tuple(batches)
 
 

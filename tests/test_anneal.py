@@ -4,21 +4,29 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ovensched import (
     AnnealParams,
+    CostBreakdown,
+    GeneratorConfig,
+    InfeasibleBatch,
     MoveJob,
     MoveJobNewBatch,
+    ObjectiveWeights,
     SwapBatches,
     apply_move,
+    build_schedule,
     check_feasibility,
     construct,
+    evaluate,
     generate_instance,
     objective_lb,
     run_annealing,
     sample_move,
 )
-from ovensched.anneal import NoMoveAvailable, _locate
+from ovensched.anneal import NoMoveAvailable, _locate, _Search
+from ovensched.schedule import machine_cost, schedule_machine
 
 from conftest import EXAMPLE_OBJECTIVE_LB, tiny_config
 
@@ -156,3 +164,82 @@ def test_anneal_random_instances_feasible_and_sound():
         )
         assert check_feasibility(inst, result.solution) == []
         assert result.cost.objective >= lb.objective_lb - 1e-12
+
+
+def _any_move(instance, layout, rng):
+    """A job move with arbitrary arguments, ineligible machines included."""
+    job = rng.randrange(instance.n_jobs) + 1
+    machine = rng.randrange(instance.n_machines)
+    if layout[machine] and rng.random() < 0.5:
+        return MoveJob(job, machine, rng.randrange(len(layout[machine])))
+    return MoveJobNewBatch(job, machine, rng.randrange(len(layout[machine]) + 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 24),
+    st.integers(1, 3),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+)
+def test_incremental_evaluation_matches_full_reschedule(n_jobs, n_machines, instance_seed, walk_seed):
+    instance = generate_instance(tiny_config(n_jobs, instance_seed, n_machines=n_machines))
+    weights = ObjectiveWeights.for_instance(instance)
+    search = _Search(instance, layout_of(instance))
+    rng = random.Random(walk_seed)
+    for _ in range(80):
+        if rng.random() < 0.8:
+            move = sample_move(instance, search.layout, rng)
+        else:
+            move = _any_move(instance, search.layout, rng)
+        new_layout = apply_move(instance, search.layout, move)
+        outcome = search.evaluate(move)
+        if new_layout is None:
+            assert outcome is None
+            continue
+        changed = [m for m, row in enumerate(new_layout) if row is not search.layout[m]]
+        try:
+            rebuilt = {
+                m: schedule_machine(instance, instance.machines[m], new_layout[m]) for m in changed
+            }
+        except InfeasibleBatch:
+            assert outcome is None
+            continue
+        assert outcome is not None
+        rows, totals = outcome
+        assert sorted(rows) == changed
+        for m, batches in rebuilt.items():
+            assert rows[m].batches == new_layout[m]
+            assert [state[1] for state in rows[m].states[1:]] == [b.end for b in batches]
+            assert rows[m].cost == machine_cost(instance, instance.machines[m], batches)
+        if rng.random() < 0.5:
+            search.accept(move, rows, totals)
+            full = evaluate(instance, build_schedule(instance, search.layout), weights, check=True)
+            assert totals == (full.proc_time, full.tardy, full.setup_cost)
+
+
+# The benchmark's 500-job instance and move budget (3 cooling levels). These
+# are the results of rescheduling whole rows after every move; the
+# incremental evaluation must reproduce that search exactly.
+@pytest.mark.parametrize(
+    "rng_seed, expected",
+    [
+        (1, CostBreakdown(18922, 465, 2194, 0.9135480272108845)),
+        (2, CostBreakdown(19094, 463, 2172, 0.9099515646258504)),
+    ],
+)
+def test_pinned_results_at_benchmark_scale(rng_seed, expected):
+    instance = generate_instance(GeneratorConfig(n_jobs=500, n_machines=5, n_attributes=5, seed=3))
+    params = AnnealParams(
+        final_temp=4e-6,
+        cooling_rate=0.2,
+        moves_per_level=1000,
+        warmup_moves=1000,
+        time_limit=120,
+        rng_seed=rng_seed,
+    )
+    result = run_annealing(instance, params)
+    assert result.stop_reason == "final_temp"
+    assert result.cost == expected
+    weights = ObjectiveWeights.for_instance(instance)
+    assert evaluate(instance, result.solution, weights, check=True) == expected

@@ -168,9 +168,16 @@ def test_missing_file_is_usage_error(capsys):
 
 def test_bad_instance_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.osp"
-    lines = EXAMPLE_PATH.read_text().splitlines(keepends=True)
-    no_jobs = "".join(line for line in lines if not line.startswith("job "))
-    for text in ("osp-instance v1\nmachines nope\n", no_jobs.replace("jobs 10", "jobs -3")):
+    good = EXAMPLE_PATH.read_text()
+    no_jobs = "".join(
+        line for line in good.splitlines(keepends=True) if not line.startswith("job ")
+    )
+    for text in (
+        "osp-instance v1\nmachines nope\n",
+        no_jobs.replace("jobs 10", "jobs -3"),
+        good.replace("capacity 18", "capacity 1_8"),
+        good.replace("release 2 ", "release +2 "),
+    ):
         bad.write_text(text)
         code, _, err = run(capsys, "bounds", str(bad))
         assert code == 2

@@ -46,7 +46,11 @@ def test_instance_round_trip(example):
 
 def test_solution_round_trip(example):
     solution = build_schedule(example, EXAMPLE_OPTIMAL_LAYOUT)
-    assert parse_solution(write_solution(solution), example) == solution
+    text = write_solution(solution)
+    assert parse_solution(text, example) == solution
+    for line, bad in (("machine 2", "machine +2"), ("jobs ", "jobs +"), ("start ", "start 0_")):
+        with pytest.raises(ParseError):
+            parse_solution(text.replace(line, bad, 1), example)
 
 
 def test_parse_errors():
@@ -70,6 +74,20 @@ def test_parse_errors():
         key = line.split()[0]
         with pytest.raises(ParseError, match=f"'{key} <count>'"):
             parse_instance(good.replace(line, bad, 1))
+    # every integer token is ASCII digits after an optional '-': int() alone
+    # would read these as 18, 2, 250, 8, 6, 2 and 10
+    for line, bad in (
+        ("capacity 18", "capacity 1_8"),
+        ("release 2 ", "release +2 "),
+        ("21..250", "21..2_50"),
+        ("\n3 8\n", "\n3 +8\n"),
+        ("size 6 ", "size \uff16 "),
+        ("eligible 2\njob 4", "eligible +2\njob 4"),
+        ("jobs 10", "jobs +10"),
+    ):
+        assert good.count(line) == 1
+        with pytest.raises(ParseError):
+            parse_instance(good.replace(line, bad))
 
 
 def test_parse_error_carries_location():
