@@ -23,12 +23,12 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence, Union
 
 from .bounds import BoundReport
 from .greedy import construct
-from .model import CostBreakdown, Instance, Machine, ObjectiveWeights
+from .model import CostBreakdown, Instance, Machine, ObjectiveWeights, Solution
 from .schedule import (
     BatchSummary,
     Layout,
@@ -138,10 +138,12 @@ def _locate(layout: Layout, job_id: int) -> tuple[int, int]:
     raise ValueError(f"job {job_id} not in layout")
 
 
-def _job_at(layout: Layout, index: int) -> tuple[int, int, int]:
-    """(job id, machine, batch) of the index-th job in layout order."""
-    for m, row in enumerate(layout):
-        size = sum(map(len, row))
+def _job_at(layout: Layout, row_jobs: list[int], index: int) -> tuple[int, int, int]:
+    """(job id, machine, batch) of the index-th job in layout order.
+
+    row_jobs[m] is the number of jobs in machine row m.
+    """
+    for m, (row, size) in enumerate(zip(layout, row_jobs)):
         if index < size:
             ends = list(accumulate(map(len, row)))
             b = bisect_right(ends, index)
@@ -175,7 +177,8 @@ def sample_move(
     """
     multi_batch_machines = [m for m, row in enumerate(layout) if len(row) >= 2]
     total_batches = sum(map(len, layout))
-    total_jobs = sum(map(len, chain.from_iterable(layout)))
+    row_jobs = [sum(map(len, row)) for row in layout]
+    total_jobs = sum(row_jobs)
     available = (
         bool(multi_batch_machines),
         bool(multi_batch_machines),
@@ -205,7 +208,7 @@ def sample_move(
         if dst >= src:
             dst += 1
         return ReinsertBatch(machine, src, dst)
-    job_id, m0, b0 = _job_at(layout, rng.randrange(total_jobs))
+    job_id, m0, b0 = _job_at(layout, row_jobs, rng.randrange(total_jobs))
     if kind == 2:
         slot = rng.randrange(total_batches - 1)
         if slot >= sum(map(len, layout[:m0])) + b0:

@@ -1,22 +1,49 @@
 """Deterministic construction heuristic (earliest-due-date dispatching).
 
-Simulates time from 0. At each step the released, unscheduled jobs that can
-start on some eligible machine right now are considered; the one with the
-earliest due date opens a batch on the machine that can start it earliest
-(ties: larger capacity, then smaller machine id), and compatible released
-jobs join in due-date order while capacity and the availability window
-allow. When nothing can start, time advances.
+The rule: simulate time from 0. At each time the released, unscheduled jobs
+that can start on some eligible machine right now are considered; the one
+with the earliest due date opens a batch on such a machine (ties: larger
+capacity, then smaller machine id), and compatible released jobs join in
+due-date order while capacity and the availability window allow. When
+nothing can start, time advances by one unit.
 
-The implementation jumps straight to the next time at which any job can
-start; this is provably the same schedule the unit-step simulation
-produces, because nothing in the machine state changes between placements.
-tests/test_greedy.py keeps the literal unit stepper as a cross-check.
-Window placement goes through Machine.earliest_start.
+The simulation here is event-driven and gives the same schedule:
+
+- Start thresholds. At each visited time, every machine and attribute gets
+  the longest processing time of a batch that can start exactly now: the
+  end of the window holding now minus now, when that window has room for
+  the setup and the machine's last batch plus the setup ends by now, else
+  -1. A batch of processing time p starts now exactly when p is at most the
+  threshold, because Machine.earliest_start(now, setup, p) == now is
+  monotone in p: every earlier window ends before now and every later one
+  starts after it. A job can start now when one of its machines (eligible,
+  large enough; kept in the tie order) has a threshold of at least its
+  min_time, and batches grow under the same test.
+- One scan per time. The released jobs are scanned once in due-date order,
+  and the scan goes on after a placement instead of starting again. A
+  placement changes only its own machine, which is then busy until after
+  now (so a skipped job stays unable to start); only if the machine can
+  still start a batch now does the scan start again. It stops once no
+  machine can start anything.
+- Jumping ahead. Between placements no machine changes, so the next time
+  anything can start is the earliest start over the waiting jobs, and a
+  time where nothing starts changes nothing. The simulation jumps to a
+  lower bound of that time: the next release, or, for each machine and
+  attribute, Machine.earliest_start after now with the shortest released
+  job that fits (earliest_start is monotone in the processing time), kept
+  in a heap per machine and attribute from which placed jobs are dropped
+  lazily.
+
+tests/test_greedy.py keeps the literal unit-step rule as a cross-check.
 """
 
 from __future__ import annotations
 
-from .model import Batch, CostBreakdown, Instance, Job, ObjectiveWeights, Solution
+from bisect import insort
+from heapq import heappop, heappush
+from typing import Iterator
+
+from .model import Batch, CostBreakdown, Instance, Job, Machine, ObjectiveWeights, Solution
 from .schedule import evaluate
 
 
@@ -28,37 +55,46 @@ class Unschedulable(Exception):
         super().__init__(f"job {job_id} cannot be scheduled")
 
 
-class _MachineState:
-    __slots__ = ("machine", "prev_attribute", "prev_end", "batches")
+def _edd(job: Job) -> tuple[int, int]:
+    return job.due, job.id
 
-    def __init__(self, machine):
+
+class _MachineState:
+    """A machine during the simulation.
+
+    limits[a - 1] is the start threshold of attribute a at the current time.
+    window indexes the first availability window that does not end before
+    the current time; time only moves forward, and so does the index.
+    shortest[a - 1] is the heap of (min_time, job id) of the released jobs
+    of attribute a that fit the machine, placed ones included until popped.
+    """
+
+    __slots__ = ("machine", "prev_attribute", "prev_end", "batches", "window", "limits", "shortest")
+
+    def __init__(self, machine: Machine, attribute_count: int):
         self.machine = machine
         self.prev_attribute = machine.initial_attribute
         self.prev_end = 0
         self.batches: list[Batch] = []
+        self.window = 0
+        self.limits = [-1] * attribute_count
+        self.shortest: list[list[tuple[int, int]]] = [[] for _ in range(attribute_count)]
 
-
-def _earliest_start(instance: Instance, state: _MachineState, job: Job, now: int) -> int | None:
-    """Earliest time >= now at which the job could open a batch on the machine."""
-    machine = state.machine
-    if machine.id not in job.eligible or machine.capacity < job.size:
-        return None
-    setup = instance.setup_time(state.prev_attribute, job.attribute)
-    lower = max(job.release, state.prev_end + setup, now)
-    return machine.earliest_start(lower, setup, job.min_time)
-
-
-def _can_start_now(instance: Instance, state: _MachineState, job: Job, now: int) -> bool:
-    # the cheap exits come first: this runs about a million times at n=1000
-    if job.release > now:
-        return False
-    machine = state.machine
-    if machine.id not in job.eligible or machine.capacity < job.size:
-        return False
-    setup = instance.setup_time(state.prev_attribute, job.attribute)
-    if state.prev_end + setup > now:
-        return False
-    return machine.earliest_start(now, setup, job.min_time) == now
+    def update_limits(self, instance: Instance, now: int) -> bool:
+        """Set the start thresholds at `now`; True when any is not -1."""
+        windows = self.machine.availability
+        while self.window < len(windows) and windows[self.window][1] < now:
+            self.window += 1
+        limits = self.limits
+        if self.window == len(windows):
+            limits[:] = [-1] * len(limits)
+            return False
+        win_start, win_end = windows[self.window]
+        ready_at = max(win_start, self.prev_end)  # after now when now is before the window
+        setups = instance.setup_times[self.prev_attribute - 1]
+        for a, setup in enumerate(setups):
+            limits[a] = win_end - now if ready_at + setup <= now else -1
+        return max(limits) >= 0
 
 
 def _open_batch(
@@ -66,32 +102,32 @@ def _open_batch(
     state: _MachineState,
     lead: Job,
     now: int,
+    ready: list[Job],
     unscheduled: dict[int, Job],
 ) -> None:
-    """Start a batch with the lead job and fill it in due-date order."""
+    """Start a batch with the lead job and fill it in due-date order.
+
+    ready holds the released jobs in due-date order; placed ones are
+    skipped.
+    """
     machine = state.machine
-    setup = instance.setup_time(state.prev_attribute, lead.attribute)
+    limit = state.limits[lead.attribute - 1]
     members = [lead]
     total_size = lead.size
     proc = lead.min_time
-    max_cap = min(j.max_time for j in members)
-    candidates = sorted(
-        (
-            j
-            for j in unscheduled.values()
-            if j.id != lead.id
-            and j.attribute == lead.attribute
-            and machine.id in j.eligible
-            and j.release <= now
-        ),
-        key=lambda j: (j.due, j.id),
-    )
-    for job in candidates:
-        if total_size + job.size > machine.capacity:
+    max_cap = lead.max_time
+    for job in ready:
+        if (
+            job.attribute != lead.attribute
+            or job.id not in unscheduled
+            or job is lead
+            or machine.id not in job.eligible
+            or total_size + job.size > machine.capacity
+        ):
             continue
         new_proc = max(proc, job.min_time)
         new_cap = min(max_cap, job.max_time)
-        if new_proc > new_cap or machine.earliest_start(now, setup, new_proc) != now:
+        if new_proc > new_cap or new_proc > limit:
             continue
         members.append(job)
         total_size += job.size
@@ -105,14 +141,21 @@ def _open_batch(
         del unscheduled[job.id]
 
 
-def _pick_machine(
-    instance: Instance, states: list[_MachineState], job: Job, now: int
-) -> _MachineState | None:
-    """Among machines that can start the job now: larger capacity, smaller id."""
-    available = [s for s in states if _can_start_now(instance, s, job, now)]
-    if not available:
-        return None
-    return min(available, key=lambda s: (-s.machine.capacity, s.machine.id))
+def _start_bounds(
+    instance: Instance, states: list[_MachineState], now: int, unscheduled: dict[int, Job]
+) -> Iterator[int]:
+    """Per machine and attribute, a lower bound of the first start after now
+    of a released job; no bound where none ever can start."""
+    for state in states:
+        setups = instance.setup_times[state.prev_attribute - 1]
+        for setup, heap in zip(setups, state.shortest):
+            while heap and heap[0][1] not in unscheduled:
+                heappop(heap)
+            if heap:
+                lower = max(state.prev_end + setup, now + 1)
+                start = state.machine.earliest_start(lower, setup, heap[0][0])
+                if start is not None:
+                    yield start
 
 
 def construct(
@@ -126,34 +169,53 @@ def construct(
     """
     if weights is None:
         weights = ObjectiveWeights.for_instance(instance)
-    states = [_MachineState(m) for m in instance.machines]
+    states = [_MachineState(m, instance.attribute_count) for m in instance.machines]
+    tie_order = sorted(states, key=lambda s: (-s.machine.capacity, s.machine.id))
+    fits = {
+        j.id: [s for s in tie_order if s.machine.id in j.eligible and s.machine.capacity >= j.size]
+        for j in instance.jobs
+    }
+    by_release = sorted(instance.jobs, key=lambda j: j.release)
+    released = 0
+    ready: list[Job] = []  # released and unscheduled, in due-date order
     unscheduled = {j.id: j for j in instance.jobs}
-    by_due = sorted(instance.jobs, key=lambda j: (j.due, j.id))
 
     now = 0
     while unscheduled:
-        placed = True
-        while placed:
-            placed = False
-            for job in by_due:
-                if job.id not in unscheduled:
-                    continue
-                state = _pick_machine(instance, states, job, now)
-                if state is not None:
-                    _open_batch(instance, state, job, now, unscheduled)
-                    placed = True
+        while released < len(by_release) and by_release[released].release <= now:
+            job = by_release[released]
+            released += 1
+            insort(ready, job, key=_edd)
+            for state in fits[job.id]:
+                heappush(state.shortest[job.attribute - 1], (job.min_time, job.id))
+
+        free = sum(state.update_limits(instance, now) for state in states)
+        i = 0
+        while free and i < len(ready):
+            job = ready[i]
+            i += 1
+            if job.id not in unscheduled:
+                continue
+            a = job.attribute - 1
+            for state in fits[job.id]:
+                if state.limits[a] >= job.min_time:
                     break
+            else:
+                continue
+            _open_batch(instance, state, job, now, ready, unscheduled)
+            if state.update_limits(instance, now):
+                i = 0  # a zero processing time left the machine free at now
+            else:
+                free -= 1
+        ready = [j for j in ready if j.id in unscheduled]
         if not unscheduled:
             break
-        upcoming = [
-            start
-            for job in unscheduled.values()
-            for state in states
-            if (start := _earliest_start(instance, state, job, now + 1)) is not None
-        ]
+
+        upcoming = list(_start_bounds(instance, states, now, unscheduled))
+        if released < len(by_release):
+            upcoming.append(by_release[released].release)
         if not upcoming:
-            remaining = next(j for j in by_due if j.id in unscheduled)
-            raise Unschedulable(remaining.id)
+            raise Unschedulable(ready[0].id)
         now = min(upcoming)
 
     solution = Solution(tuple(tuple(s.batches) for s in states))
