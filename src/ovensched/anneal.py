@@ -8,11 +8,35 @@ Starts from the greedy construction. Moves are evaluated incrementally:
 each batch of the current layout carries a summary of its jobs
 (schedule.summarize), made once when a move creates the batch, and each
 machine row keeps its schedule state per position. A move reschedules an
-edited row only from its first changed batch, and stops as soon as the row
-is back on the old row's unchanged tail in the same (attribute, end) state;
-the cost change is the new entries minus the replaced ones. Moves that fail
-the cheap structural checks or cannot be scheduled are discarded. Batch
+edited row only from its first changed batch, and stops as soon as the
+rest of the row is the old row's unchanged tail slid in time; the cost
+change is the new entries minus the replaced ones. Moves that fail the
+cheap structural checks or cannot be scheduled are discarded. Batch
 objects are built only for the returned best solution.
+
+The rejoin rule. A batch is rigid when it starts exactly at its
+predecessor's end plus the setup time. If the predecessor of a rigid batch
+ends d time units later (d > 0) or earlier (d < 0), the lower bound that
+Machine.earliest_start is given moves by d, and the kernel returns the
+old start plus d as long as the old window still holds the setup plus
+processing span and, for d < 0, the release still allows it: later starts
+only make the windows before the old one fail more, and windows are sorted
+and disjoint, so a window before the old one ends before the shifted span
+begins. The batch's tardy count is unchanged as long as no due date lies
+between its old and new end, and its processing time and setup cost do
+not depend on time. So every rigid batch has a range of ends over which it
+slides at unchanged cost (a batch that is not rigid only has its own end),
+and the tail of a row from position i has a range of predecessor ends over
+which every tail batch slides by one common offset: the intersection of
+the batch ranges, each moved back by the batch's distance to the tail's
+predecessor. A rescheduled row that reaches the old tail in the same
+attribute with an end inside that range is the old tail slid by the
+difference of the ends, at the old tail's cost; an offset of 0 is the
+exact rejoin. The ranges are absolute times, so a slid batch keeps its
+range, and so does a slid tail. Only an accepted move materializes the
+slid tail and works out the ranges of the batches it placed; the tail
+ranges of the positions before those are recomputed with integer min and
+max, back to the first position where they come out as before.
 """
 
 from __future__ import annotations
@@ -34,7 +58,6 @@ from .schedule import (
     Layout,
     batch_fault,
     build_schedule,
-    place_batch,
     relative_gap,
     summarize,
 )
@@ -62,6 +85,15 @@ class AnnealParams:
     trace_period: float = 2.0
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison, so without the finiteness checks it
+        # would slip past the range checks and switch the search off
+        floats = (self.final_temp, self.time_limit, self.trace_period, *self.move_probs)
+        if self.lb_gap_stop is not None:
+            floats += (self.lb_gap_stop,)
+        if not all(map(math.isfinite, floats)):
+            raise ValueError(
+                "final_temp, time_limit, trace_period, lb_gap_stop and move_probs must be finite"
+            )
         if not 0 < self.cooling_rate < 1:
             raise ValueError("cooling_rate must be in (0, 1)")
         if self.final_temp <= 0:
@@ -72,6 +104,8 @@ class AnnealParams:
             raise ValueError("move_probs must be four non-negative values with positive sum")
         if self.time_limit < 0:
             raise ValueError("time_limit must be non-negative")
+        if self.moves_per_level < 0 or self.warmup_moves < 0:
+            raise ValueError("moves_per_level and warmup_moves must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -138,7 +172,7 @@ def _locate(layout: Layout, job_id: int) -> tuple[int, int]:
     raise ValueError(f"job {job_id} not in layout")
 
 
-def _job_at(layout: Layout, row_jobs: list[int], index: int) -> tuple[int, int, int]:
+def _job_at(layout: Layout, row_jobs: Sequence[int], index: int) -> tuple[int, int, int]:
     """(job id, machine, batch) of the index-th job in layout order.
 
     row_jobs[m] is the number of jobs in machine row m.
@@ -166,18 +200,21 @@ def sample_move(
     layout: Layout,
     rng: random.Random,
     probs: tuple[float, float, float, float] = AnnealParams.move_probs,
+    row_jobs: Sequence[int] | None = None,
 ) -> Move:
     """Draw a move kind by probability, then uniform arguments.
 
     Kinds whose argument space is empty are excluded from the draw (the
     distribution is the same as resampling until a usable kind comes up).
     Jobs and batches are drawn by their index in layout order, and a job
-    moves into any batch but its own. Raises NoMoveAvailable when no kind
+    moves into any batch but its own. row_jobs[m], when given, is the
+    number of jobs in machine row m. Raises NoMoveAvailable when no kind
     has arguments.
     """
     multi_batch_machines = [m for m, row in enumerate(layout) if len(row) >= 2]
     total_batches = sum(map(len, layout))
-    row_jobs = [sum(map(len, row)) for row in layout]
+    if row_jobs is None:
+        row_jobs = [sum(map(len, row)) for row in layout]
     total_jobs = sum(row_jobs)
     available = (
         bool(multi_batch_machines),
@@ -338,30 +375,58 @@ def apply_move(instance: Instance, layout: Layout, move: Move) -> Layout | None:
     return new_layout
 
 
+State = tuple[int, int, int, int, int]
+
+
 class _Row(NamedTuple):
     """One machine row of the search: its batches, their summaries, its schedule.
 
     states[i] is the (attribute, end, processing time, tardy jobs, setup cost)
     entry of batch i - 1; states[0] is the machine's initial attribute at
     time 0 with no cost. cost sums the last three fields over the row.
+    ranges[i] is (earliest, latest, low, high): batch i slides to any end
+    in [earliest, latest] at unchanged cost, and batches i, i + 1, ... all
+    slide by one offset when batch i - 1 ends anywhere in [low, high] (see
+    the module docstring).
     """
 
     batches: list[list[int]]
     summaries: list[BatchSummary]
-    states: list[tuple[int, int, int, int, int]]
+    states: list[State]
     cost: tuple[int, int, int]
+    ranges: list[tuple[int, int, int, int]]
+
+
+class _Candidate(NamedTuple):
+    """A row as a move would leave it, before _Search.accept takes it.
+
+    batches differs from the old row's only in [start, stop), and span
+    holds the summaries of the batches there. states runs up to the rejoin;
+    the old row's batches from old index resume on follow, each ending
+    `slide` time units later.
+    """
+
+    old: _Row
+    batches: list[list[int]]
+    span: list[BatchSummary]
+    states: list[State]
+    cost: tuple[int, int, int]
+    start: int
+    stop: int
+    resume: int
+    slide: int
 
 
 def _reschedule(
     instance: Instance, machine: Machine, old: _Row, batches: list[list[int]], start: int, stop: int
-) -> _Row | None:
+) -> _Candidate | None:
     """The row of the given batches, or None when one of them cannot be scheduled.
 
     batches differs from the old row only in [start, stop), as in _RowEdit.
     Only batches that are not in the old row are summarized and checked
     against the batch rules. Scheduling starts at `start` from the old state
-    there and stops as soon as the row is back on the old row's unchanged
-    tail with the same (attribute, end) state.
+    there and stops as soon as the row reaches the old row's unchanged tail
+    in the same attribute, at an end the tail slides with.
     """
     shift = len(batches) - len(old.batches)
     old_span = slice(start, stop - shift)
@@ -374,22 +439,27 @@ def _reschedule(
             if batch_fault(instance, machine, batch, summary) is not None:
                 return None
         span.append(summary)
-    summaries = old.summaries[:start] + span + old.summaries[stop - shift :]
 
-    states = old.states
+    states, ranges, summaries = old.states, old.ranges, old.summaries
+    setup_times = instance.setup_times
     setup_costs = instance.setup_costs
+    earliest_start = machine.earliest_start
     attribute, end = states[start][:2]
     proc, tardy, setup = old.cost
     new_states = states[: start + 1]
-    resume = len(old.batches)
+    resume, slide = len(old.batches), 0
     for i in range(start, len(batches)):
-        if i >= stop:
-            prior = states[i - shift]
-            if prior[1] == end and prior[0] == attribute:
-                resume = i - shift
+        if i < stop:
+            summary = span[i - start]
+        else:
+            j = i - shift
+            reach = ranges[j]
+            if reach[2] <= end <= reach[3] and states[j][0] == attribute:
+                resume, slide = j, end - states[j][1]
                 break
-        summary = summaries[i]
-        begin = place_batch(instance, machine, summary, attribute, end)
+            summary = summaries[j]
+        setup_time = setup_times[attribute - 1][summary.attribute - 1]
+        begin = earliest_start(max(summary.release, end + setup_time), setup_time, summary.proc)
         if begin is None:
             return None
         end = begin + summary.proc
@@ -404,8 +474,65 @@ def _reschedule(
         proc -= p
         tardy -= t
         setup -= s
-    new_states += states[resume + 1 :]
-    return _Row(batches, summaries, new_states, (proc, tardy, setup))
+    return _Candidate(
+        old, batches, span, new_states, (proc, tardy, setup), start, stop, resume, slide
+    )
+
+
+def _materialize(instance: Instance, machine: Machine, candidate: _Candidate) -> _Row:
+    """The row a candidate stands for, with the slid tail and the ranges written.
+
+    Walks back from the old tail, which keeps its ranges as they are
+    absolute. A batch the move placed gets its own range of ends: its own
+    end when it does not start right after its predecessor and the setup,
+    else the ends its window, its release and its due dates allow. Each
+    position's range of predecessor ends meets the batch's range with the
+    next position's, moved back by the batch's distance to its
+    predecessor's end. Before the placed batches, the walk stops at the
+    first position whose range comes out as before; the positions below it
+    keep theirs.
+    """
+    old, batches, span, head, cost, start, stop, resume, slide = candidate
+    placed = len(head) - 1
+    old_stop = stop - len(batches) + len(old.batches)
+    summaries = old.summaries[:start] + span + old.summaries[old_stop:]
+    tail = old.states[resume + 1 :]
+    if slide:
+        tail = [(a, end + slide, p, t, s) for a, end, p, t, s in tail]
+    states = head + tail
+    ranges = old.ranges[:start] + [None] * (placed - start) + old.ranges[resume:]
+    setup_times = instance.setup_times
+    low, high = ranges[placed][2:] if tail else (None, None)
+    end = states[placed][1]
+    for k in range(placed - 1, -1, -1):
+        prev_attribute, prev_end, _, _, _ = states[k]
+        if k >= start:
+            summary = summaries[k]
+            setup = setup_times[prev_attribute - 1][summary.attribute - 1]
+            begin = end - summary.proc
+            earliest = latest = end
+            if begin == prev_end + setup:
+                for win_start, latest in machine.availability:
+                    if end <= latest:
+                        break
+                earliest = max(win_start + setup, summary.release) + summary.proc
+                dues = summary.dues
+                late = states[k + 1][3]
+                if late and dues[late - 1] >= earliest:
+                    earliest = dues[late - 1] + 1
+                if late < len(dues) and dues[late] < latest:
+                    latest = dues[late]
+        else:
+            earliest, latest, old_low, old_high = ranges[k]
+        if low is None:
+            low, high = earliest, latest
+        low = (earliest if earliest > low else low) - end + prev_end
+        high = (latest if latest < high else high) - end + prev_end
+        if k < start and low == old_low and high == old_high:
+            break
+        ranges[k] = earliest, latest, low, high
+        end = prev_end
+    return _Row(batches, summaries, states, cost, ranges)
 
 
 class _Search:
@@ -414,7 +541,7 @@ class _Search:
     Each machine row keeps its batch summaries and per-position schedule
     state (_Row), so a move is costed by rescheduling only the changed part
     of the rows it edits. totals are the (processing time, tardy jobs,
-    setup cost) of the whole layout.
+    setup cost) of the whole layout; row_jobs[m] counts row m's jobs.
     """
 
     def __init__(self, instance: Instance, layout: Layout):
@@ -422,20 +549,23 @@ class _Search:
         self.layout: list[list[list[int]]] = [list(row) for row in layout]
         self.rows: list[_Row] = []
         for machine, row in zip(instance.machines, self.layout):
-            empty = _Row([], [], [(machine.initial_attribute, 0, 0, 0, 0)], (0, 0, 0))
+            empty = _Row([], [], [(machine.initial_attribute, 0, 0, 0, 0)], (0, 0, 0), [])
             scheduled = _reschedule(instance, machine, empty, row, 0, len(row))
             if scheduled is None:
                 raise ValueError(f"machine {machine.id} row cannot be scheduled")
-            self.rows.append(scheduled)
+            self.rows.append(_materialize(instance, machine, scheduled))
         self.totals = tuple(map(sum, zip(*(r.cost for r in self.rows))))
         self.row_of = {j: m for m, row in enumerate(self.layout) for b in row for j in b}
+        self.row_jobs = [sum(map(len, row)) for row in self.layout]
 
     def locate(self, job_id: int) -> tuple[int, int]:
         m = self.row_of[job_id]
         return m, next(b for b, batch in enumerate(self.layout[m]) if job_id in batch)
 
-    def evaluate(self, move: Move) -> tuple[dict[int, _Row], tuple[int, int, int]] | None:
-        """(new rows by machine index, new totals) of a move; None when infeasible."""
+    def evaluate(
+        self, move: Move
+    ) -> tuple[dict[int, _Candidate], tuple[int, int, int]] | None:
+        """(candidate rows by machine index, new totals) of a move; None when infeasible."""
         edits = _edit_rows(self.instance, self.layout, move, self.locate)
         if edits is None:
             return None
@@ -453,11 +583,17 @@ class _Search:
             rows[m] = row
         return rows, (proc, tardy, setup)
 
-    def accept(self, move: Move, rows: dict[int, _Row], totals: tuple[int, int, int]) -> None:
-        for m, row in rows.items():
+    def accept(
+        self, move: Move, rows: dict[int, _Candidate], totals: tuple[int, int, int]
+    ) -> None:
+        """Take an evaluated move: its candidate rows become the current ones."""
+        for m, candidate in rows.items():
+            row = _materialize(self.instance, self.instance.machines[m], candidate)
             self.rows[m] = row
             self.layout[m] = row.batches
         if isinstance(move, (MoveJob, MoveJobNewBatch)):
+            self.row_jobs[self.row_of[move.job]] -= 1
+            self.row_jobs[move.machine] += 1
             self.row_of[move.job] = move.machine
         self.totals = totals
 
@@ -525,7 +661,7 @@ def run_annealing(
 
     def try_move():
         """Sample and evaluate one move; None when rejected or infeasible."""
-        move = sample_move(instance, search.layout, rng, params.move_probs)
+        move = sample_move(instance, search.layout, rng, params.move_probs, search.row_jobs)
         outcome = search.evaluate(move)
         if outcome is None:
             return None

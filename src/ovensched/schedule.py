@@ -8,10 +8,11 @@ component). The earliest start comes from Machine.earliest_start, the one
 place the availability-window rule lives; check_feasibility verifies given
 start times against the windows on its own.
 
-Scheduling a batch is two steps that schedule_machine and the annealer's
-incremental move evaluation share: summarize reads the batch's jobs once
-into a BatchSummary, and batch_fault plus place_batch apply the batch rules
-and the placement to that summary.
+schedule_machine and the annealer's incremental move evaluation share the
+batch rules: summarize reads a batch's jobs once into a BatchSummary, and
+batch_fault checks the rules that do not depend on the batch's position.
+Both then place the batch with Machine.earliest_start, after the previous
+batch's end plus setup and the batch's latest release.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def batch_fault(
     """The first batch rule the jobs break on the machine, or None.
 
     These rules do not depend on the batch's position in the row; the
-    availability windows are place_batch's part.
+    availability windows are Machine.earliest_start's part.
     """
     if summary.attribute is None:
         return "jobs mix attributes"
@@ -95,22 +96,6 @@ def batch_fault(
     if summary.proc > summary.max_time:
         return "incompatible processing times"
     return None
-
-
-def place_batch(
-    instance: Instance,
-    machine: Machine,
-    summary: BatchSummary,
-    prev_attribute: int,
-    prev_end: int,
-) -> int | None:
-    """Earliest start of a fault-free batch after the previous batch and its setup.
-
-    The start also waits for the latest release; None when no availability
-    window hosts the setup plus processing span.
-    """
-    setup = instance.setup_times[prev_attribute - 1][summary.attribute - 1]
-    return machine.earliest_start(max(summary.release, prev_end + setup), setup, summary.proc)
 
 
 def schedule_machine(
@@ -133,7 +118,8 @@ def schedule_machine(
         fault = batch_fault(instance, machine, job_ids, summary)
         if fault is not None:
             raise InfeasibleBatch(machine.id, position, fault)
-        start = place_batch(instance, machine, summary, prev_attribute, prev_end)
+        setup = instance.setup_times[prev_attribute - 1][summary.attribute - 1]
+        start = machine.earliest_start(max(summary.release, prev_end + setup), setup, summary.proc)
         if start is None:
             raise InfeasibleBatch(machine.id, position, "no availability window fits")
         batches.append(Batch(frozenset(job_ids), start, summary.proc))

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import pytest
 
-from ovensched import GeneratorConfig, Instance, Job, Machine
+from ovensched import GeneratorConfig, Instance, Job, Machine, Solution
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 EXAMPLE_PATH = FIXTURES / "example_10jobs.osp"
@@ -85,3 +86,9 @@ def tiny_config(n_jobs: int, seed: int, **overrides) -> GeneratorConfig:
     )
     settings.update(overrides)
     return GeneratorConfig(**settings)
+
+
+def schedule_digest(solution: Solution) -> str:
+    """sha256 of a solution's layout and start times, for pinning results."""
+    starts = [[b.start for b in row] for row in solution.batches]
+    return hashlib.sha256(repr((solution.layout(), starts)).encode()).hexdigest()

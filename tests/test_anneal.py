@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -11,6 +13,7 @@ from ovensched import (
     CostBreakdown,
     GeneratorConfig,
     InfeasibleBatch,
+    Machine,
     MoveJob,
     MoveJobNewBatch,
     ObjectiveWeights,
@@ -25,10 +28,10 @@ from ovensched import (
     run_annealing,
     sample_move,
 )
-from ovensched.anneal import NoMoveAvailable, _locate, _Search
+from ovensched.anneal import NoMoveAvailable, _edit_rows, _locate, _materialize, _Search
 from ovensched.schedule import machine_cost, schedule_machine
 
-from conftest import EXAMPLE_OBJECTIVE_LB, tiny_config
+from conftest import EXAMPLE_OBJECTIVE_LB, schedule_digest, tiny_config
 
 FAST = AnnealParams(rng_seed=3, warmup_moves=100, moves_per_level=60, time_limit=20.0)
 
@@ -41,6 +44,27 @@ def layout_of(instance):
 def partition_ids(layout):
     ids = [j for row in layout for batch in row for j in batch]
     return sorted(ids)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(moves_per_level=-5),
+        dict(warmup_moves=-3),
+        dict(final_temp=math.nan),
+        dict(final_temp=math.inf),
+        dict(time_limit=math.nan),
+        dict(time_limit=math.inf),
+        dict(trace_period=math.nan),
+        dict(move_probs=(0.5, math.nan, 0.2, 0.3)),
+        dict(lb_gap_stop=math.nan),
+        dict(cooling_rate=math.nan),
+        dict(accepted_ratio=math.nan),
+    ],
+)
+def test_params_that_switch_the_search_off_are_rejected(bad):
+    with pytest.raises(ValueError):
+        AnnealParams(**bad)
 
 
 def test_forced_swap_on_two_batch_machine():
@@ -175,21 +199,98 @@ def _any_move(instance, layout, rng):
     return MoveJobNewBatch(job, machine, rng.randrange(len(layout[machine]) + 2))
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 24),
-    st.integers(1, 3),
-    st.integers(0, 10**6),
-    st.integers(0, 10**6),
-)
-def test_incremental_evaluation_matches_full_reschedule(n_jobs, n_machines, instance_seed, walk_seed):
-    instance = generate_instance(tiny_config(n_jobs, instance_seed, n_machines=n_machines))
+def _spread_config(n_jobs, seed, n_machines):
+    """Releases and dues spread far apart, 2-6 windows per machine."""
+    return tiny_config(
+        n_jobs,
+        seed,
+        n_machines=n_machines,
+        release_range=(0, 200),
+        due_slack_range=(0, 200),
+        window_count_range=(2, 6),
+        window_length_range=(30, 200),
+        window_gap_range=(0, 30),
+    )
+
+
+SHAPES = {"tiny": tiny_config, "spread": _spread_config}
+
+
+def _reference_tail(instance, machine, batches, attribute, end):
+    """States of the batches scheduled after a batch of `attribute` ending at `end`."""
+    states = []
+    for batch in batches:
+        jobs = [instance.job(j) for j in batch]
+        proc = max(j.min_time for j in jobs)
+        setup = instance.setup_time(attribute, jobs[0].attribute)
+        lower = max(max(j.release for j in jobs), end + setup)
+        start = machine.earliest_start(lower, setup, proc)
+        if start is None:
+            return None
+        cost = instance.setup_cost(attribute, jobs[0].attribute)
+        attribute, end = jobs[0].attribute, start + proc
+        states.append((attribute, end, proc, sum(j.due < end for j in jobs), cost))
+    return states
+
+
+def _slid(states, offset):
+    return [(a, end + offset, p, t, s) for a, end, p, t, s in states]
+
+
+def _slide_fault(instance, machine, row, j, end):
+    """Why the row's batches from j do not all slide when batch j - 1 ends at
+    `end` instead; None when they do."""
+    offset = end - row.states[j][1]
+    if offset == 0:
+        return None
+    for k in range(j, len(row.batches)):
+        (prev_attribute, prev_end, *_), (attribute, old_end, proc, *_) = row.states[k : k + 2]
+        jobs = [instance.job(i) for i in row.batches[k]]
+        setup = instance.setup_time(prev_attribute, attribute)
+        begin = old_end - proc
+        if begin != prev_end + setup:
+            return "pinned"
+        win_start, win_end = next(w for w in machine.availability if w[0] <= begin - setup <= w[1])
+        new_end = old_end + offset
+        if new_end > win_end:
+            return "window end"
+        if begin + offset - setup < win_start:
+            return "window start"
+        if begin + offset < max(i.release for i in jobs):
+            return "release"
+        if any(min(old_end, new_end) <= i.due < max(old_end, new_end) for i in jobs):
+            return "due"
+    return None
+
+
+def _check_row_ranges(instance, machine, row):
+    """Every position's range of predecessor ends is exact: at both ends the
+    row's tail slides by the offset, one step outside it does not."""
+    for j in range(len(row.batches)):
+        attribute, end = row.states[j][:2]
+        tail = row.states[j + 1 :]
+        low, high = row.ranges[j][2:]
+        for x, slides in ((low, True), (high, True), (low - 1, False), (high + 1, False)):
+            moved = _reference_tail(instance, machine, row.batches[j:], attribute, x)
+            assert (moved == _slid(tail, x - end)) == slides, (j, x)
+
+
+def _walk(instance, walk_seed, moves, events):
+    """Random moves on a _Search, each checked against full rescheduling.
+
+    Every feasible candidate is materialized as accept would do it and
+    compared with schedule_machine/machine_cost; every position where the
+    rescheduling passed the old tail is checked against _slide_fault. After
+    each accept every row must equal a rebuild from scratch, and the ranges
+    of the rows it changed must be exact. events counts rejoins by their
+    offset's sign and refused slides by reason.
+    """
     weights = ObjectiveWeights.for_instance(instance)
     search = _Search(instance, layout_of(instance))
     rng = random.Random(walk_seed)
-    for _ in range(80):
+    for _ in range(moves):
         if rng.random() < 0.8:
-            move = sample_move(instance, search.layout, rng)
+            move = sample_move(instance, search.layout, rng, row_jobs=search.row_jobs)
         else:
             move = _any_move(instance, search.layout, rng)
         new_layout = apply_move(instance, search.layout, move)
@@ -206,16 +307,62 @@ def test_incremental_evaluation_matches_full_reschedule(n_jobs, n_machines, inst
             assert outcome is None
             continue
         assert outcome is not None
-        rows, totals = outcome
-        assert sorted(rows) == changed
+        candidates, totals = outcome
+        assert sorted(candidates) == changed
+        edits = _edit_rows(instance, search.layout, move, search.locate)
         for m, batches in rebuilt.items():
-            assert rows[m].batches == new_layout[m]
-            assert [state[1] for state in rows[m].states[1:]] == [b.end for b in batches]
-            assert rows[m].cost == machine_cost(instance, instance.machines[m], batches)
+            machine = instance.machines[m]
+            old, candidate, edit = search.rows[m], candidates[m], edits[m]
+            row = _materialize(instance, machine, candidate)
+            assert row.batches == new_layout[m]
+            assert [state[1] for state in row.states[1:]] == [b.end for b in batches]
+            assert row.cost == machine_cost(instance, machine, batches)
+            shift = len(row.batches) - len(old.batches)
+            rejoin = len(candidate.states) - 1
+            for i in range(edit.stop, rejoin + 1):
+                if i == len(row.batches) or candidate.states[i][0] != old.states[i - shift][0]:
+                    continue
+                fault = _slide_fault(instance, machine, old, i - shift, candidate.states[i][1])
+                if i < rejoin:
+                    assert fault is not None
+                    events[fault] += 1
+                else:
+                    assert fault is None
+                    events[("rejoin", (candidate.slide > 0) - (candidate.slide < 0))] += 1
         if rng.random() < 0.5:
-            search.accept(move, rows, totals)
+            search.accept(move, candidates, totals)
             full = evaluate(instance, build_schedule(instance, search.layout), weights, check=True)
             assert totals == (full.proc_time, full.tardy, full.setup_cost)
+            fresh = _Search(instance, search.layout)
+            assert search.rows == fresh.rows
+            assert search.row_jobs == fresh.row_jobs
+            for m in changed:
+                _check_row_ranges(instance, instance.machines[m], search.rows[m])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(SHAPES)),
+    st.integers(1, 24),
+    st.integers(1, 3),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+)
+def test_incremental_evaluation_matches_full_reschedule(
+    shape, n_jobs, n_machines, instance_seed, walk_seed
+):
+    config = SHAPES[shape](n_jobs, instance_seed, n_machines=n_machines)
+    _walk(generate_instance(config), walk_seed, 80, Counter())
+
+
+def test_rigid_shift_cases_occur():
+    events = Counter()
+    for seed in range(6):
+        for shape in sorted(SHAPES):
+            instance = generate_instance(SHAPES[shape](20, 9100 + seed, n_machines=2))
+            _walk(instance, seed, 150, events)
+    for kind in (("rejoin", 1), ("rejoin", -1), "window end", "due", "pinned"):
+        assert events[kind] > 0, (kind, events)
 
 
 # The benchmark's 500-job instance and move budget (3 cooling levels). These
@@ -243,3 +390,72 @@ def test_pinned_results_at_benchmark_scale(rng_seed, expected):
     assert result.cost == expected
     weights = ObjectiveWeights.for_instance(instance)
     assert evaluate(instance, result.solution, weights, check=True) == expected
+
+
+
+# The same move budget on the smaller and the larger instance of the
+# benchmark's shape (k=5, a=5, seed 3): results, layouts and start times of
+# the search as it was before a move could stop on a tail slid in time.
+@pytest.mark.parametrize(
+    "n_jobs, rng_seed, expected, digest",
+    [
+        (
+            250, 1, CostBreakdown(9317, 220, 1490, 0.8667466666666667),
+            "70b5dfa7f94b82ce6cad15c61ce1260809f066bafb6fe8f0cdc8a37a3a4e4de2",
+        ),
+        (
+            250, 2, CostBreakdown(10704, 221, 1024, 0.873511341991342),
+            "85c3f0398f536e656bb2c0984af3f656c4ce16483b1e82a81956c91b7126a8bf",
+        ),
+        (
+            1000, 1, CostBreakdown(27575, 973, 3528, 0.9474462337662338),
+            "a6abeec0a984ae4291a3065a29954a4331a266ca2e08be4af88adf855c7b61e3",
+        ),
+        (
+            1000, 2, CostBreakdown(29847, 977, 4152, 0.9531265800865801),
+            "77a9b69855d7eb671717858754e6ae0a47580b8f2d8c51be998d9f147e2dac8e",
+        ),
+    ],
+    ids=["n250-s1", "n250-s2", "n1000-s1", "n1000-s2"],
+)
+def test_pinned_results_beyond_benchmark_scale(n_jobs, rng_seed, expected, digest):
+    config = GeneratorConfig(n_jobs=n_jobs, n_machines=5, n_attributes=5, seed=3)
+    params = AnnealParams(
+        final_temp=4e-6,
+        cooling_rate=0.2,
+        moves_per_level=1000,
+        warmup_moves=1000,
+        time_limit=120,
+        rng_seed=rng_seed,
+    )
+    result = run_annealing(generate_instance(config), params)
+    assert result.stop_reason == "final_temp"
+    assert result.cost == expected
+    assert schedule_digest(result.solution) == digest
+
+
+def test_rigid_shift_rejoin_saves_kernel_calls(monkeypatch):
+    # Results are bit-identical either way, so only the work shows whether
+    # rescheduling stops on a slid tail: rejoining on an unchanged end only
+    # made 104,023 Machine.earliest_start calls in this run.
+    calls = 0
+    kernel = Machine.earliest_start
+
+    def counted(self, lower, setup, proc):
+        nonlocal calls
+        calls += 1
+        return kernel(self, lower, setup, proc)
+
+    monkeypatch.setattr(Machine, "earliest_start", counted)
+    instance = generate_instance(GeneratorConfig(n_jobs=500, n_machines=5, n_attributes=5, seed=3))
+    params = AnnealParams(
+        final_temp=4e-6,
+        cooling_rate=0.2,
+        moves_per_level=1000,
+        warmup_moves=1000,
+        time_limit=120,
+        rng_seed=2,
+    )
+    result = run_annealing(instance, params)
+    assert result.cost == CostBreakdown(19094, 463, 2172, 0.9099515646258504)
+    assert calls <= 50_000

@@ -162,6 +162,14 @@ def test_usage_errors(capsys, tmp_path):
     assert run(capsys, "generate", "-o", str(tmp_path / "x"))[0] == 1  # no --n
 
 
+def test_anneal_rejects_params_that_switch_the_search_off(capsys):
+    for flags in (["--moves-per-level", "-5"], ["--time-limit", "nan"], ["--lb-gap-stop", "nan"]):
+        code, out, err = run(capsys, "anneal", EXAMPLE, "--workers", "1", *flags)
+        assert code == 1
+        assert out == ""
+        assert "must be" in err
+
+
 def test_missing_file_is_usage_error(capsys):
     assert run(capsys, "bounds", "no-such-file.osp")[0] == 1
 

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import hashlib
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +17,7 @@ from ovensched import (
 )
 from ovensched.greedy import Unschedulable
 
-from conftest import tiny_config
+from conftest import schedule_digest, tiny_config
 
 # frozen after the first verified run of the dispatching rule on the
 # example instance (feasible, and above the 0.7066 lower bound)
@@ -275,11 +273,6 @@ def test_zero_processing_time_leaves_the_machine_free():
     assert [(sorted(b.jobs), b.start) for b in solution.batches[0]] == [([2], 0), ([1], 0), ([3], 5)]
 
 
-def _schedule_digest(solution: Solution) -> str:
-    starts = [[b.start for b in row] for row in solution.batches]
-    return hashlib.sha256(repr((solution.layout(), starts)).encode()).hexdigest()
-
-
 # The benchmark's instance shape (k=5, a=5). Recorded from the former
 # implementation, which rescanned every job from the first after each
 # placement and probed every job on every machine to find the next time.
@@ -307,7 +300,7 @@ def test_pinned_greedy_at_benchmark_scale(n_jobs, seed, expected, objective, bat
     assert (cost.proc_time, cost.tardy, cost.setup_cost) == expected
     assert cost.objective == objective
     assert solution.batch_count == batch_count
-    assert _schedule_digest(solution) == digest
+    assert schedule_digest(solution) == digest
 
 
 def test_feasible_and_above_lb_on_random_instances():
