@@ -16,7 +16,6 @@ from .anneal import (
     NoMoveAvailable,
     ReinsertBatch,
     SwapBatches,
-    apply_move,
     run_annealing,
     sample_move,
 )
@@ -58,8 +57,6 @@ from .model import (
     ObjectiveWeights,
     Solution,
     Violation,
-    compatible,
-    job_completions,
     validate_instance,
 )
 from .oracle import (

@@ -7,12 +7,16 @@ temperature, wall-clock limit, or a relative gap to a supplied lower bound.
 Starts from the greedy construction. Moves are evaluated incrementally:
 each batch of the current layout carries a summary of its jobs
 (schedule.summarize), made once when a move creates the batch, and each
-machine row keeps its schedule state per position. A move reschedules an
-edited row only from its first changed batch, and stops as soon as the
-rest of the row is the old row's unchanged tail slid in time; the cost
-change is the new entries minus the replaced ones. Moves that fail the
-cheap structural checks or cannot be scheduled are discarded. Batch
-objects are built only for the returned best solution.
+machine row keeps its schedule state per position. The edit that makes a
+batch summarizes it and tests it against the batch rules
+(schedule.batch_fault), so a job move into a batch it cannot join is
+discarded before any rescheduling; the jobs a move leaves behind in a
+batch obey the rules as the batch did. A move reschedules an edited row
+only from its first changed batch, and stops as soon as the rest of the
+row is the old row's unchanged tail slid in time; the cost change is the
+new entries minus the replaced ones. Moves whose rows cannot be scheduled
+are discarded. Batch objects are built only for the returned best
+solution.
 
 The rejoin rule. A batch is rigid when it starts exactly at its
 predecessor's end plus the setup time. If the predecessor of a rigid batch
@@ -46,9 +50,8 @@ import random
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .bounds import BoundReport
 from .greedy import construct
@@ -106,6 +109,8 @@ class AnnealParams:
             raise ValueError("time_limit must be non-negative")
         if self.moves_per_level < 0 or self.warmup_moves < 0:
             raise ValueError("moves_per_level and warmup_moves must be non-negative")
+        if self.lb_gap_stop is not None and self.lb_gap_stop < 0:
+            raise ValueError("lb_gap_stop must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -162,14 +167,6 @@ class MoveJobNewBatch:
 
 
 Move = Union[SwapBatches, ReinsertBatch, MoveJob, MoveJobNewBatch]
-
-
-def _locate(layout: Layout, job_id: int) -> tuple[int, int]:
-    for m, row in enumerate(layout):
-        for b, batch in enumerate(row):
-            if job_id in batch:
-                return m, b
-    raise ValueError(f"job {job_id} not in layout")
 
 
 def _job_at(layout: Layout, row_jobs: Sequence[int], index: int) -> tuple[int, int, int]:
@@ -258,123 +255,6 @@ def sample_move(
     return MoveJobNewBatch(job_id, machine, rng.randrange(len(layout[machine]) + 1))
 
 
-class _RowEdit:
-    """A copy of one machine row under edit, with the span that changed.
-
-    Invariant: row[:start] is old[:start] and row[stop:] is old[stop - shift:],
-    batch by batch, where shift = len(row) - len(old). Batches are never
-    changed in place, so unchanged ones are shared with the old row.
-    """
-
-    __slots__ = ("row", "start", "stop")
-
-    def __init__(self, old: Sequence[list[int]]):
-        self.row = list(old)
-        self.start = len(old)
-        self.stop = 0
-
-    def replace(self, b: int, batch: list[int]) -> None:
-        self.row[b] = batch
-        self.start = min(self.start, b)
-        self.stop = max(self.stop, b + 1)
-
-    def delete(self, b: int) -> None:
-        del self.row[b]
-        self.start = min(self.start, b)
-        self.stop = max(self.stop - 1, b)
-
-    def insert(self, b: int, batch: list[int]) -> None:
-        self.row.insert(b, batch)
-        self.start = min(self.start, b)
-        self.stop = max(self.stop, b) + 1
-
-    def remove_job(self, b: int, job_id: int) -> None:
-        rest = [j for j in self.row[b] if j != job_id]
-        if rest:
-            self.replace(b, rest)
-        else:
-            self.delete(b)
-
-
-def _edit_rows(
-    instance: Instance,
-    layout: Layout,
-    move: Move,
-    locate: Callable[[int], tuple[int, int]],
-) -> dict[int, _RowEdit] | None:
-    """The edited rows of a move by machine index, or None when cheaply rejected.
-
-    `locate` maps a job id to its (machine, batch) in the layout.
-    """
-    edits: dict[int, _RowEdit] = {}
-
-    def edit(m: int) -> _RowEdit:
-        if m not in edits:
-            edits[m] = _RowEdit(layout[m])
-        return edits[m]
-
-    if isinstance(move, SwapBatches):
-        row = edit(move.machine)
-        first, second = row.row[move.position], row.row[move.position + 1]
-        row.replace(move.position, second)
-        row.replace(move.position + 1, first)
-        return edits
-
-    if isinstance(move, ReinsertBatch):
-        row = edit(move.machine)
-        batch = row.row[move.src]
-        row.delete(move.src)
-        row.insert(move.dst, batch)
-        return edits
-
-    job = instance.job(move.job)
-    if isinstance(move, MoveJob):
-        m0, b0 = locate(move.job)
-        m1, b1 = move.machine, move.batch
-        if (m0, b0) == (m1, b1):
-            return None
-        machine = instance.machines[m1]
-        if machine.id not in job.eligible:
-            return None
-        target = [instance.job(i) for i in layout[m1][b1]]
-        if any(t.attribute != job.attribute for t in target):
-            return None
-        if sum(t.size for t in target) + job.size > machine.capacity:
-            return None
-        lo = max(max(t.min_time for t in target), job.min_time)
-        hi = min(min(t.max_time for t in target), job.max_time)
-        if lo > hi:
-            return None
-        edit(m1).replace(b1, sorted([*layout[m1][b1], move.job]))
-        edit(m0).remove_job(b0, move.job)
-        return edits
-
-    if job.size > instance.machines[move.machine].capacity:
-        return None
-    m0, b0 = locate(move.job)
-    edit(m0).remove_job(b0, move.job)
-    row = edit(move.machine)
-    row.insert(min(move.position, len(row.row)), [move.job])
-    return edits
-
-
-def apply_move(instance: Instance, layout: Layout, move: Move) -> Layout | None:
-    """Apply a move, returning the new layout or None when cheaply rejected.
-
-    Cheap rejections cover attribute mixing, capacity, processing-time
-    incompatibility and eligibility; scheduling feasibility is left to the
-    rebuild. Unaffected machine rows, and the batches the move leaves alone,
-    are shared with the input layout.
-    """
-    edits = _edit_rows(instance, layout, move, partial(_locate, layout))
-    if edits is None:
-        return None
-    new_layout = list(layout)
-    for m, edit in edits.items():
-        new_layout[m] = edit.row
-    return new_layout
-
-
 State = tuple[int, int, int, int, int]
 
 
@@ -397,50 +277,88 @@ class _Row(NamedTuple):
     ranges: list[tuple[int, int, int, int]]
 
 
+class _RowEdit:
+    """A copy of one machine row under edit, with the span that changed.
+
+    summaries[i] is the summary of row[i]. Invariant: row[:start] is
+    old[:start] and row[stop:] is old[stop - shift:], batch by batch, where
+    shift = len(row) - len(old). Batches are never changed in place, so
+    unchanged ones are shared with the old row.
+    """
+
+    __slots__ = ("row", "summaries", "start", "stop")
+
+    def __init__(self, old: _Row):
+        self.row = list(old.batches)
+        self.summaries = list(old.summaries)
+        self.start = len(old.batches)
+        self.stop = 0
+
+    def replace(self, b: int, batch: list[int], summary: BatchSummary) -> None:
+        self.row[b] = batch
+        self.summaries[b] = summary
+        self.start = min(self.start, b)
+        self.stop = max(self.stop, b + 1)
+
+    def delete(self, b: int) -> None:
+        del self.row[b]
+        del self.summaries[b]
+        self.start = min(self.start, b)
+        self.stop = max(self.stop - 1, b)
+
+    def insert(self, b: int, batch: list[int], summary: BatchSummary) -> None:
+        self.row.insert(b, batch)
+        self.summaries.insert(b, summary)
+        self.start = min(self.start, b)
+        self.stop = max(self.stop, b) + 1
+
+    def move(self, src: int, dst: int) -> None:
+        batch, summary = self.row[src], self.summaries[src]
+        self.delete(src)
+        self.insert(dst, batch, summary)
+
+    def remove_job(self, instance: Instance, b: int, job_id: int) -> None:
+        """Take a job out of batch b. The jobs left obey the batch rules, as
+        the batch did, so they are summarized without a check."""
+        rest = [j for j in self.row[b] if j != job_id]
+        if rest:
+            self.replace(b, rest, summarize(instance, rest))
+        else:
+            self.delete(b)
+
+
 class _Candidate(NamedTuple):
     """A row as a move would leave it, before _Search.accept takes it.
 
-    batches differs from the old row's only in [start, stop), and span
-    holds the summaries of the batches there. states runs up to the rejoin;
-    the old row's batches from old index resume on follow, each ending
-    `slide` time units later.
+    batches and summaries are the whole new row; they differ from the old
+    row's only from `start` on. states runs up to the rejoin; the old row's
+    batches from old index resume on follow, each ending `slide` time units
+    later.
     """
 
     old: _Row
     batches: list[list[int]]
-    span: list[BatchSummary]
+    summaries: list[BatchSummary]
     states: list[State]
     cost: tuple[int, int, int]
     start: int
-    stop: int
     resume: int
     slide: int
 
 
 def _reschedule(
-    instance: Instance, machine: Machine, old: _Row, batches: list[list[int]], start: int, stop: int
+    instance: Instance, machine: Machine, old: _Row, edit: _RowEdit
 ) -> _Candidate | None:
-    """The row of the given batches, or None when one of them cannot be scheduled.
+    """The row an edit leaves, or None when one of its batches cannot be placed.
 
-    batches differs from the old row only in [start, stop), as in _RowEdit.
-    Only batches that are not in the old row are summarized and checked
-    against the batch rules. Scheduling starts at `start` from the old state
-    there and stops as soon as the row reaches the old row's unchanged tail
-    in the same attribute, at an end the tail slides with.
+    The edit's batches already obey the batch rules. Scheduling starts at
+    edit.start from the old state there and stops as soon as the row
+    reaches the old row's unchanged tail in the same attribute, at an end
+    the tail slides with.
     """
+    batches, summaries, start, stop = edit.row, edit.summaries, edit.start, edit.stop
     shift = len(batches) - len(old.batches)
-    old_span = slice(start, stop - shift)
-    known = dict(zip(map(id, old.batches[old_span]), old.summaries[old_span]))
-    span = []
-    for batch in batches[start:stop]:
-        summary = known.get(id(batch))
-        if summary is None:
-            summary = summarize(instance, batch)
-            if batch_fault(instance, machine, batch, summary) is not None:
-                return None
-        span.append(summary)
-
-    states, ranges, summaries = old.states, old.ranges, old.summaries
+    states, ranges = old.states, old.ranges
     setup_times = instance.setup_times
     setup_costs = instance.setup_costs
     earliest_start = machine.earliest_start
@@ -449,15 +367,13 @@ def _reschedule(
     new_states = states[: start + 1]
     resume, slide = len(old.batches), 0
     for i in range(start, len(batches)):
-        if i < stop:
-            summary = span[i - start]
-        else:
+        if i >= stop:
             j = i - shift
             reach = ranges[j]
             if reach[2] <= end <= reach[3] and states[j][0] == attribute:
                 resume, slide = j, end - states[j][1]
                 break
-            summary = summaries[j]
+        summary = summaries[i]
         setup_time = setup_times[attribute - 1][summary.attribute - 1]
         begin = earliest_start(max(summary.release, end + setup_time), setup_time, summary.proc)
         if begin is None:
@@ -475,7 +391,7 @@ def _reschedule(
         tardy -= t
         setup -= s
     return _Candidate(
-        old, batches, span, new_states, (proc, tardy, setup), start, stop, resume, slide
+        old, batches, summaries, new_states, (proc, tardy, setup), start, resume, slide
     )
 
 
@@ -492,10 +408,8 @@ def _materialize(instance: Instance, machine: Machine, candidate: _Candidate) ->
     first position whose range comes out as before; the positions below it
     keep theirs.
     """
-    old, batches, span, head, cost, start, stop, resume, slide = candidate
+    old, batches, summaries, head, cost, start, resume, slide = candidate
     placed = len(head) - 1
-    old_stop = stop - len(batches) + len(old.batches)
-    summaries = old.summaries[:start] + span + old.summaries[old_stop:]
     tail = old.states[resume + 1 :]
     if slide:
         tail = [(a, end + slide, p, t, s) for a, end, p, t, s in tail]
@@ -550,7 +464,13 @@ class _Search:
         self.rows: list[_Row] = []
         for machine, row in zip(instance.machines, self.layout):
             empty = _Row([], [], [(machine.initial_attribute, 0, 0, 0, 0)], (0, 0, 0), [])
-            scheduled = _reschedule(instance, machine, empty, row, 0, len(row))
+            edit = _RowEdit(empty)
+            for batch in row:
+                summary = summarize(instance, batch)
+                if batch_fault(instance, machine, batch, summary) is not None:
+                    raise ValueError(f"machine {machine.id} row cannot be scheduled")
+                edit.insert(len(edit.row), batch, summary)
+            scheduled = _reschedule(instance, machine, empty, edit)
             if scheduled is None:
                 raise ValueError(f"machine {machine.id} row cannot be scheduled")
             self.rows.append(_materialize(instance, machine, scheduled))
@@ -562,19 +482,58 @@ class _Search:
         m = self.row_of[job_id]
         return m, next(b for b, batch in enumerate(self.layout[m]) if job_id in batch)
 
+    def edit_rows(self, move: Move) -> dict[int, _RowEdit] | None:
+        """The rows a move edits, by machine index.
+
+        None when the move would put a job into its own batch, or when the
+        batch a job move makes breaks a batch rule (schedule.batch_fault).
+        """
+        edits: dict[int, _RowEdit] = {}
+
+        def edit(m: int) -> _RowEdit:
+            if m not in edits:
+                edits[m] = _RowEdit(self.rows[m])
+            return edits[m]
+
+        if isinstance(move, SwapBatches):
+            edit(move.machine).move(move.position, move.position + 1)
+            return edits
+        if isinstance(move, ReinsertBatch):
+            edit(move.machine).move(move.src, move.dst)
+            return edits
+
+        instance = self.instance
+        m0, b0 = self.locate(move.job)
+        if isinstance(move, MoveJob):
+            if (m0, b0) == (move.machine, move.batch):
+                return None
+            batch = sorted([*self.layout[move.machine][move.batch], move.job])
+        else:
+            batch = [move.job]
+        summary = summarize(instance, batch)
+        if batch_fault(instance, instance.machines[move.machine], batch, summary) is not None:
+            return None
+        if isinstance(move, MoveJob):
+            edit(move.machine).replace(move.batch, batch, summary)
+            edit(m0).remove_job(instance, b0, move.job)
+        else:
+            edit(m0).remove_job(instance, b0, move.job)
+            row = edit(move.machine)
+            row.insert(min(move.position, len(row.row)), batch, summary)
+        return edits
+
     def evaluate(
         self, move: Move
     ) -> tuple[dict[int, _Candidate], tuple[int, int, int]] | None:
         """(candidate rows by machine index, new totals) of a move; None when infeasible."""
-        edits = _edit_rows(self.instance, self.layout, move, self.locate)
+        edits = self.edit_rows(move)
         if edits is None:
             return None
         proc, tardy, setup = self.totals
         rows = {}
         for m, edit in edits.items():
             old = self.rows[m]
-            machine = self.instance.machines[m]
-            row = _reschedule(self.instance, machine, old, edit.row, edit.start, edit.stop)
+            row = _reschedule(self.instance, self.instance.machines[m], old, edit)
             if row is None:
                 return None
             proc += row.cost[0] - old.cost[0]

@@ -97,40 +97,38 @@ def classify_large_small(
     large = set()
     for j in jobs:
         cap = max(instance.machine(m).capacity for m in j.eligible)
-        # smallest size among the *other* jobs of the attribute
         if len(jobs) == 1:
-            smallest_other = None
-        elif j.size == sizes[0] and sizes.count(j.size) == 1:
-            smallest_other = sizes[1]
-        else:
-            smallest_other = sizes[0]
-        if smallest_other is None or j.size + smallest_other > cap:
+            large.add(j.id)
+            continue
+        # smallest size among the *other* jobs of the attribute
+        smallest_other = sizes[1] if j.size == sizes[0] else sizes[0]
+        if j.size + smallest_other > cap:
             large.add(j.id)
     small = {j.id for j in jobs} - large
     return frozenset(large), frozenset(small)
 
 
-def batch_lb_capacity(instance: Instance, attribute: int) -> tuple[int, int]:
-    """Capacity-based batch-count bounds: plain and with large jobs set aside."""
-    jobs = instance.jobs_with_attribute(attribute)
-    if not jobs:
+def batch_lb_capacity(
+    instance: Instance, large: frozenset[int], small: frozenset[int]
+) -> tuple[int, int]:
+    """Capacity-based batch-count bounds of an attribute's large and small
+    jobs: plain and with large jobs set aside."""
+    if not large and not small:
         return 0, 0
     cap = instance.max_capacity
-    plain = math.ceil(sum(j.size for j in jobs) / cap)
-    large, small = classify_large_small(instance, attribute)
     small_total = sum(instance.job(j).size for j in small)
+    plain = math.ceil((sum(instance.job(j).size for j in large) + small_total) / cap)
     refined = len(large) + math.ceil(small_total / cap)
     return plain, refined
 
 
-def batch_lb_eligibility(instance: Instance, attribute: int) -> EligibilityBound:
-    """Batch-count bound for small jobs from single-machine eligibility.
+def batch_lb_eligibility(instance: Instance, small: frozenset[int]) -> EligibilityBound:
+    """Batch-count bound for an attribute's small jobs from single-machine eligibility.
 
     Jobs eligible on exactly one machine force ceil(size/capacity) batches
     there; multi-eligible jobs first fill the leftover room in those batches
     and any remainder is packed into spill batches of the largest machine.
     """
-    _, small = classify_large_small(instance, attribute)
     small_jobs = [instance.job(j) for j in sorted(small)]
     forced: dict[int, int] = {}
     leftover_room = 0
@@ -148,26 +146,26 @@ def batch_lb_eligibility(instance: Instance, attribute: int) -> EligibilityBound
     return EligibilityBound(sum(forced.values()) + spill, forced, spill)
 
 
-def proc_lb_eligibility(instance: Instance, attribute: int) -> int:
-    """Processing-time bound for small jobs matching batch_lb_eligibility.
+def proc_lb_eligibility(
+    instance: Instance, small: frozenset[int], elig: EligibilityBound
+) -> int:
+    """Processing-time bound for small jobs matching their batch_lb_eligibility bound.
 
     Sums the smallest minimal processing times that the forced and spill
     batches must run for, then accounts for the batch that necessarily runs
     as long as the small job with the largest minimal processing time.
     """
-    _, small = classify_large_small(instance, attribute)
     small_jobs = [instance.job(j) for j in sorted(small)]
     if not small_jobs:
         return 0
-    _, forced, spill = batch_lb_eligibility(instance, attribute)
     terms: list[int] = []
-    for machine_id, count in forced.items():
+    for machine_id, count in elig.forced.items():
         pinned = sorted(
             j.min_time for j in small_jobs if j.eligible == {machine_id}
         )
         terms.extend(pinned[:count])
     multi = sorted(j.min_time for j in small_jobs if len(j.eligible) > 1)
-    terms.extend(multi[:spill])
+    terms.extend(multi[: elig.spill])
     if terms:
         longest = max(j.min_time for j in small_jobs)
         if longest > max(terms):
@@ -238,25 +236,13 @@ def gac_plus(units: Sequence[tuple], capacity: int) -> tuple[int, int]:
     return batches, total_time
 
 
-def _gac_bounds(instance: Instance, attribute: int) -> tuple[int, int]:
-    """Clique-cover bounds for the attribute's small jobs (unit expansion)."""
-    _, small = classify_large_small(instance, attribute)
-    units = [
-        (j.min_time, j.max_time, j.size)
-        for j in (instance.job(i) for i in sorted(small))
-    ]
-    if not units:
-        return 0, 0
-    return gac_plus(units, instance.max_capacity)
-
-
 def attribute_bounds(instance: Instance, attribute: int) -> AttributeBoundDetail:
-    """Assemble every per-attribute bound."""
+    """Assemble every per-attribute bound on one large/small split."""
     large, small = classify_large_small(instance, attribute)
-    b_plain, b_refined = batch_lb_capacity(instance, attribute)
-    elig = batch_lb_eligibility(instance, attribute)
-    p_elig = proc_lb_eligibility(instance, attribute)
-    b_gac, p_gac = _gac_bounds(instance, attribute)
+    b_plain, b_refined = batch_lb_capacity(instance, large, small)
+    elig = batch_lb_eligibility(instance, small)
+    units = [(j.min_time, j.max_time, j.size) for j in (instance.job(i) for i in sorted(small))]
+    b_gac, p_gac = gac_plus(units, instance.max_capacity) if units else (0, 0)
     return AttributeBoundDetail(
         attribute=attribute,
         large_jobs=large,
@@ -266,7 +252,7 @@ def attribute_bounds(instance: Instance, attribute: int) -> AttributeBoundDetail
         b_elig_small=elig.total,
         b_gac_small=b_gac,
         p_large=sum(instance.job(j).min_time for j in large),
-        p_elig_small=p_elig,
+        p_elig_small=proc_lb_eligibility(instance, small, elig),
         p_gac_small=p_gac,
     )
 

@@ -182,9 +182,15 @@ def _run_replicates(
     return sorted(zip(seeds, results), key=lambda pair: pair[0])
 
 
-def _cmd_anneal(args: argparse.Namespace) -> int:
+def _check_counts(args: argparse.Namespace) -> None:
     if args.replicates < 1:
         raise _UsageError("--replicates must be at least 1")
+    if args.workers is not None and args.workers < 1:
+        raise _UsageError("--workers must be at least 1")
+
+
+def _cmd_anneal(args: argparse.Namespace) -> int:
+    _check_counts(args)
     instance = _load_instance(args.instance)
     lb = objective_lb(instance)
     params = AnnealParams(
@@ -343,8 +349,7 @@ def _bench_task(payload: tuple[str, float, float | None, Sequence[int], int]) ->
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.replicates < 1:
-        raise _UsageError("--replicates must be at least 1")
+    _check_counts(args)
     directory = Path(args.directory)
     if not directory.is_dir():
         raise _UsageError(f"not a directory: {args.directory}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -151,12 +151,6 @@ class Solution:
     def __post_init__(self) -> None:
         object.__setattr__(self, "batches", tuple(tuple(bs) for bs in self.batches))
 
-    def iter_batches(self) -> Iterator[tuple[int, Batch]]:
-        """Yield (machine index, batch) over all machines in order."""
-        for idx, machine_batches in enumerate(self.batches):
-            for batch in machine_batches:
-                yield idx, batch
-
     @property
     def batch_count(self) -> int:
         return sum(len(bs) for bs in self.batches)
@@ -252,11 +246,6 @@ def errors_only(violations: Iterable[Violation]) -> list[Violation]:
     return [v for v in violations if v.severity == "error"]
 
 
-def compatible(job_i: Job, job_j: Job) -> bool:
-    """True iff the two processing-time intervals intersect."""
-    return max(job_i.min_time, job_j.min_time) <= min(job_i.max_time, job_j.max_time)
-
-
 def earliest_solo_completion(
     instance: Instance, job: Job, machine: Machine, include_min_setup: bool = True
 ) -> int | None:
@@ -271,15 +260,6 @@ def earliest_solo_completion(
     st_min = instance.min_setup_time_into(job.attribute) if include_min_setup else 0
     start = machine.earliest_start(job.release, st_min, job.min_time)
     return None if start is None else start + job.min_time
-
-
-def job_completions(instance: Instance, solution: Solution) -> dict[int, int]:
-    """Completion time per scheduled job id."""
-    completions: dict[int, int] = {}
-    for _, batch in solution.iter_batches():
-        for job_id in batch.jobs:
-            completions[job_id] = batch.end
-    return completions
 
 
 def validate_instance(instance: Instance) -> list[Violation]:

@@ -3,9 +3,12 @@
 Ground truth for bound soundness and solver quality checks. Enumerates all
 attribute-homogeneous batchings, all batch-to-machine assignments, and all
 batch orders per machine; schedules each candidate deterministically and
-keeps the cheapest. Lower bounds from the bounds module can prune batchings
-whose bound already exceeds the incumbent. Also houses the brute-force
-minimum clique cover used to verify the greedy cover algorithm.
+keeps the cheapest. Each candidate batch (a block) is summarized once
+(schedule.summarize) and may run on the eligible machines where
+schedule.batch_fault finds no fault; a block with no such machine ends the
+batchings that would contain it. Lower bounds from the bounds module can
+prune batchings whose bound already exceeds the incumbent. Also houses the
+brute-force minimum clique cover used to verify the greedy cover algorithm.
 
 Objective comparisons use an integer rescaling of the normalized objective,
 so incumbent updates, tie-breaking and pruning are exact.
@@ -14,12 +17,13 @@ so incumbent updates, tie-breaking and pruning are exact.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .bounds import NoFeasiblePlacement, setup_cost_lb, tardy_lb, _normalize_units
 from .model import CostBreakdown, Instance, Machine, ObjectiveWeights, Solution
-from .schedule import machine_cost, schedule_machine
+from .schedule import BatchSummary, batch_fault, machine_cost, schedule_machine, summarize
 
 
 @dataclass(frozen=True)
@@ -48,25 +52,38 @@ class OracleResult:
     nodes: int
 
 
-def _attribute_partitions(instance: Instance, attribute: int) -> list[tuple[tuple[int, ...], ...]]:
+class _Block(NamedTuple):
+    """A batch of the search: its job ids, their summary (schedule.summarize)
+    and the ids of the eligible machines it may run on, the ones where
+    schedule.batch_fault finds no fault."""
+
+    jobs: tuple[int, ...]
+    summary: BatchSummary
+    machines: tuple[int, ...]
+
+
+def _make_block(instance: Instance, ids: tuple[int, ...]) -> _Block:
+    summary = summarize(instance, ids)
+    machines = tuple(
+        m
+        for m in sorted(summary.eligible)
+        if batch_fault(instance, instance.machine(m), ids, summary) is None
+    )
+    return _Block(ids, summary, machines)
+
+
+def _attribute_partitions(
+    instance: Instance, attribute: int, block_of: Callable[[tuple[int, ...]], _Block]
+) -> list[tuple[tuple[int, ...], ...]]:
     """All batchings of one attribute's jobs into feasible blocks.
 
-    Blocks are pruned while growing: members must have pairwise-compatible
-    processing times and some machine must be eligible for all of them with
-    enough capacity. Partitions are generated in restricted-growth order, so
-    the result is deterministic and duplicate-free.
+    Blocks are pruned while growing: each must have a machine to run on
+    (block_of(ids).machines). Partitions are generated in restricted-growth
+    order, so the result is deterministic and duplicate-free.
     """
-    jobs = sorted(instance.jobs_with_attribute(attribute), key=lambda j: j.id)
+    jobs = sorted(j.id for j in instance.jobs_with_attribute(attribute))
     if not jobs:
         return [()]
-
-    def block_feasible(ids: tuple[int, ...]) -> bool:
-        members = [instance.job(i) for i in ids]
-        if max(m.min_time for m in members) > min(m.max_time for m in members):
-            return False
-        shared = frozenset.intersection(*(m.eligible for m in members))
-        total = sum(m.size for m in members)
-        return any(instance.machine(m).capacity >= total for m in shared)
 
     partitions: list[tuple[tuple[int, ...], ...]] = []
 
@@ -74,14 +91,14 @@ def _attribute_partitions(instance: Instance, attribute: int) -> list[tuple[tupl
         if index == len(jobs):
             partitions.append(tuple(tuple(b) for b in blocks))
             return
-        job_id = jobs[index].id
+        job_id = jobs[index]
         for block in blocks:
             block.append(job_id)
-            if block_feasible(tuple(block)):
+            if block_of(tuple(block)).machines:
                 grow(index + 1, blocks)
             block.pop()
         blocks.append([job_id])
-        if block_feasible((job_id,)):
+        if block_of((job_id,)).machines:
             grow(index + 1, blocks)
         blocks.pop()
 
@@ -94,59 +111,22 @@ def _layout_key(layout: Sequence[Sequence[Sequence[int]]]) -> tuple:
     return tuple(tuple(tuple(sorted(b)) for b in machine) for machine in layout)
 
 
-@dataclass(frozen=True)
-class _Block:
-    jobs: tuple[int, ...]
-    attribute: int
-    size: int
-    release: int
-    proc: int
-    late_count_by_end: tuple[tuple[int, int], ...]  # (end threshold, tardy among members)
-    machines: tuple[int, ...]  # feasible machine ids
-
-    def tardy_at(self, end: int) -> int:
-        tardy = 0
-        for due, count in self.late_count_by_end:
-            if end > due:
-                tardy += count
-        return tardy
-
-
-def _make_block(instance: Instance, ids: tuple[int, ...]) -> _Block:
-    members = [instance.job(i) for i in ids]
-    shared = frozenset.intersection(*(m.eligible for m in members))
-    total = sum(m.size for m in members)
-    dues: dict[int, int] = {}
-    for m in members:
-        dues[m.due] = dues.get(m.due, 0) + 1
-    return _Block(
-        jobs=ids,
-        attribute=members[0].attribute,
-        size=total,
-        release=max(m.release for m in members),
-        proc=max(m.min_time for m in members),
-        late_count_by_end=tuple(sorted(dues.items())),
-        machines=tuple(
-            sorted(m for m in shared if instance.machine(m).capacity >= total)
-        ),
-    )
-
-
 def _block_tardy_floor(instance: Instance, block: _Block) -> int | None:
     """Members of the block that are late wherever the whole block runs.
 
     None when the block fits on none of its machines, so the batching is
     infeasible.
     """
-    st_min = instance.min_setup_time_into(block.attribute)
+    summary = block.summary
+    st_min = instance.min_setup_time_into(summary.attribute)
     starts = (
-        instance.machine(m).earliest_start(block.release, st_min, block.proc)
+        instance.machine(m).earliest_start(summary.release, st_min, summary.proc)
         for m in block.machines
     )
     first = min((start for start in starts if start is not None), default=None)
     if first is None:
         return None
-    return block.tardy_at(first + block.proc)
+    return bisect_left(summary.dues, first + summary.proc)
 
 
 class _MachineOrderSearch:
@@ -184,7 +164,9 @@ class _MachineOrderSearch:
         if key in self.cache:
             return self.cache[key]
         blocks = tuple(sorted(blocks, key=lambda b: b.jobs))
-        suffix_floor = sum(self.setup_scale * self.min_in_cost[b.attribute] for b in blocks)
+        suffix_floor = sum(
+            self.setup_scale * self.min_in_cost[b.summary.attribute] for b in blocks
+        )
         best: list = [None]
 
         def descend(remaining: tuple[_Block, ...], order, prev_end, prev_attr,
@@ -196,24 +178,25 @@ class _MachineOrderSearch:
                 best[0] = (score, order, tardy, setup)
                 return
             for idx, block in enumerate(remaining):
-                setup_time = self.instance.setup_time(prev_attr, block.attribute)
+                summary = block.summary
+                setup_time = self.instance.setup_time(prev_attr, summary.attribute)
                 start = machine.earliest_start(
-                    max(block.release, prev_end + setup_time), setup_time, block.proc
+                    max(summary.release, prev_end + setup_time), setup_time, summary.proc
                 )
                 if start is None:
                     continue
-                end = start + block.proc
-                block_tardy = block.tardy_at(end)
-                block_setup = self.instance.setup_cost(prev_attr, block.attribute)
+                end = start + summary.proc
+                block_tardy = bisect_left(summary.dues, end)
+                block_setup = self.instance.setup_cost(prev_attr, summary.attribute)
                 descend(
                     remaining[:idx] + remaining[idx + 1 :],
                     order + (block.jobs,),
                     end,
-                    block.attribute,
+                    summary.attribute,
                     score + self.tardy_scale * block_tardy + self.setup_scale * block_setup,
                     tardy + block_tardy,
                     setup + block_setup,
-                    floor - self.setup_scale * self.min_in_cost[block.attribute],
+                    floor - self.setup_scale * self.min_in_cost[summary.attribute],
                 )
 
         descend(blocks, (), 0, machine.initial_attribute, 0, 0, 0, suffix_floor)
@@ -221,7 +204,7 @@ class _MachineOrderSearch:
             result = None
         else:
             score, order, tardy, setup = best[0]
-            proc = sum(b.proc for b in blocks)
+            proc = sum(b.summary.proc for b in blocks)
             result = (score, order, (proc, tardy, setup))
         self.cache[key] = result
         return result
@@ -276,9 +259,6 @@ def exact_solve(
     best_layout: list | None = None
     best_components: tuple[int, int, int] | None = None
 
-    per_attribute = [
-        _attribute_partitions(instance, r) for r in range(1, instance.attribute_count + 1)
-    ]
     block_cache: dict[tuple[int, ...], _Block] = {}
 
     def block_of(ids: tuple[int, ...]) -> _Block:
@@ -286,10 +266,15 @@ def exact_solve(
             block_cache[ids] = _make_block(instance, ids)
         return block_cache[ids]
 
+    per_attribute = [
+        _attribute_partitions(instance, r, block_of)
+        for r in range(1, instance.attribute_count + 1)
+    ]
+
     for combo in itertools.product(*per_attribute):
         search._spend()
         blocks = [block_of(ids) for parts in combo for ids in parts]
-        proc_fixed = sum(b.proc for b in blocks)
+        proc_fixed = sum(b.summary.proc for b in blocks)
 
         batching_tardy_floor = global_tardy_floor
         infeasible_block = False

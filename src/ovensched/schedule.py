@@ -8,11 +8,15 @@ component). The earliest start comes from Machine.earliest_start, the one
 place the availability-window rule lives; check_feasibility verifies given
 start times against the windows on its own.
 
-schedule_machine and the annealer's incremental move evaluation share the
-batch rules: summarize reads a batch's jobs once into a BatchSummary, and
-batch_fault checks the rules that do not depend on the batch's position.
-Both then place the batch with Machine.earliest_start, after the previous
-batch's end plus setup and the batch's latest release.
+The batch rules that do not depend on a batch's position (one attribute,
+eligibility, capacity, compatible processing times) live here once:
+summarize reads a batch's jobs in one pass into a BatchSummary, and
+batch_fault tests the rules on it. schedule_machine, the annealer's
+incremental move evaluation and the exact oracle take a batch's fields
+only from its summary and test the rules only with batch_fault, then place
+the batch with Machine.earliest_start, after the previous batch's end plus
+setup and the batch's latest release. check_feasibility, which reports
+every rule that given batches break, is the one independent reading.
 """
 
 from __future__ import annotations
@@ -64,18 +68,32 @@ class BatchSummary(NamedTuple):
 
 
 def summarize(instance: Instance, job_ids: Collection[int]) -> BatchSummary:
-    """Summary of a non-empty batch of job ids."""
-    jobs = [instance.job(j) for j in job_ids]
-    attribute = jobs[0].attribute
-    return BatchSummary(
-        attribute if all(j.attribute == attribute for j in jobs) else None,
-        sum(j.size for j in jobs),
-        max(j.min_time for j in jobs),
-        min(j.max_time for j in jobs),
-        max(j.release for j in jobs),
-        tuple(sorted(j.due for j in jobs)),
-        frozenset.intersection(*(j.eligible for j in jobs)),
-    )
+    """Summary of a non-empty batch of job ids, in one pass over its jobs."""
+    job = instance.job
+    ids = iter(job_ids)
+    first = job(next(ids))
+    attribute = first.attribute
+    size = first.size
+    proc = first.min_time
+    max_time = first.max_time
+    release = first.release
+    dues = [first.due]
+    eligible = first.eligible
+    for job_id in ids:
+        j = job(job_id)
+        if j.attribute != attribute:
+            attribute = None
+        size += j.size
+        if j.min_time > proc:
+            proc = j.min_time
+        if j.max_time < max_time:
+            max_time = j.max_time
+        if j.release > release:
+            release = j.release
+        dues.append(j.due)
+        eligible = eligible & j.eligible
+    dues.sort()
+    return BatchSummary(attribute, size, proc, max_time, release, tuple(dues), eligible)
 
 
 def batch_fault(

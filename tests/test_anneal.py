@@ -17,8 +17,8 @@ from ovensched import (
     MoveJob,
     MoveJobNewBatch,
     ObjectiveWeights,
+    ReinsertBatch,
     SwapBatches,
-    apply_move,
     build_schedule,
     check_feasibility,
     construct,
@@ -28,8 +28,8 @@ from ovensched import (
     run_annealing,
     sample_move,
 )
-from ovensched.anneal import NoMoveAvailable, _edit_rows, _locate, _materialize, _Search
-from ovensched.schedule import machine_cost, schedule_machine
+from ovensched.anneal import NoMoveAvailable, _materialize, _Search
+from ovensched.schedule import machine_cost, schedule_machine, summarize
 
 from conftest import EXAMPLE_OBJECTIVE_LB, schedule_digest, tiny_config
 
@@ -46,6 +46,79 @@ def partition_ids(layout):
     return sorted(ids)
 
 
+def _locate(layout, job_id):
+    for m, row in enumerate(layout):
+        for b, batch in enumerate(row):
+            if job_id in batch:
+                return m, b
+    raise ValueError(f"job {job_id} not in layout")
+
+
+def apply_move(instance, layout, move):
+    """Reference: the layout a move leaves, or None when cheaply rejected.
+
+    A job move into a batch is rejected on mixed attributes, an ineligible
+    machine, capacity or incompatible processing times, and a job move into
+    a new batch on capacity; everything else is left to scheduling. Rows
+    the move leaves alone are shared with the input layout.
+    """
+    new = list(layout)
+
+    def row(m):
+        if new[m] is layout[m]:
+            new[m] = list(layout[m])
+        return new[m]
+
+    if isinstance(move, SwapBatches):
+        r, b = row(move.machine), move.position
+        r[b], r[b + 1] = r[b + 1], r[b]
+        return new
+    if isinstance(move, ReinsertBatch):
+        r = row(move.machine)
+        r.insert(move.dst, r.pop(move.src))
+        return new
+    job = instance.job(move.job)
+    machine = instance.machines[move.machine]
+    m0, b0 = _locate(layout, move.job)
+    if isinstance(move, MoveJob):
+        if (m0, b0) == (move.machine, move.batch):
+            return None
+        merged = [instance.job(j) for j in layout[move.machine][move.batch]] + [job]
+        if (
+            machine.id not in job.eligible
+            or any(j.attribute != job.attribute for j in merged)
+            or sum(j.size for j in merged) > machine.capacity
+            or max(j.min_time for j in merged) > min(j.max_time for j in merged)
+        ):
+            return None
+        row(move.machine)[move.batch] = sorted(j.id for j in merged)
+    elif job.size > machine.capacity:
+        return None
+    source = row(m0)
+    rest = [j for j in source[b0] if j != move.job]
+    if rest:
+        source[b0] = rest
+    else:
+        del source[b0]
+    if isinstance(move, MoveJobNewBatch):
+        target = row(move.machine)
+        target.insert(min(move.position, len(target)), [move.job])
+    return new
+
+
+def edited_layout(search, move):
+    """The layout after search.edit_rows(move), or None when it rejects the
+    move; every edited row's summaries must match its batches."""
+    edits = search.edit_rows(move)
+    if edits is None:
+        return None
+    layout = list(search.layout)
+    for m, edit in edits.items():
+        assert edit.summaries == [summarize(search.instance, b) for b in edit.row]
+        layout[m] = edit.row
+    return layout
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -58,6 +131,7 @@ def partition_ids(layout):
         dict(trace_period=math.nan),
         dict(move_probs=(0.5, math.nan, 0.2, 0.3)),
         dict(lb_gap_stop=math.nan),
+        dict(lb_gap_stop=-5.0),
         dict(cooling_rate=math.nan),
         dict(accepted_ratio=math.nan),
     ],
@@ -82,54 +156,66 @@ def test_forced_swap_on_two_batch_machine():
 
 def test_moves_preserve_partition(example):
     rng = random.Random(11)
-    layout = layout_of(example)
-    expected = partition_ids(layout)
+    search = _Search(example, layout_of(example))
+    expected = partition_ids(search.layout)
     applied = 0
     for _ in range(600):
-        move = sample_move(example, layout, rng)
-        new_layout = apply_move(example, layout, move)
-        if new_layout is None:
+        move = sample_move(example, search.layout, rng)
+        new_layout = edited_layout(search, move)
+        assert new_layout == apply_move(example, search.layout, move)
+        outcome = search.evaluate(move)
+        if outcome is None:
             continue
         applied += 1
-        assert partition_ids(new_layout) == expected
-        layout = new_layout
+        search.accept(move, *outcome)
+        assert search.layout == new_layout
+        assert partition_ids(search.layout) == expected
     assert applied > 100
 
 
 def test_move_job_new_batch_keeps_partition(example):
-    layout = layout_of(example)
-    move = MoveJobNewBatch(job=5, machine=1, position=0)
-    new_layout = apply_move(example, layout, move)
-    assert partition_ids(new_layout) == partition_ids(layout)
-    assert [5] in new_layout[1]
+    search = _Search(example, layout_of(example))
+    new_layout = edited_layout(search, MoveJobNewBatch(job=5, machine=1, position=0))
+    assert partition_ids(new_layout) == partition_ids(search.layout)
+    assert new_layout[1][0] == [5]
 
 
 def test_move_job_cheap_rejections(example):
-    layout = [[[1]], [[3], [9]]]  # partial layout is fine for apply_move
-    # job 1 into job 9's batch: attribute 2 vs 1 -> rejected
-    assert apply_move(example, layout, MoveJob(job=1, machine=1, batch=1)) is None
-    # job 9 onto machine 1 (not eligible)
-    m0 = _locate(layout, 9)
-    assert m0 == (1, 1)
-    assert apply_move(example, layout, MoveJob(job=9, machine=0, batch=0)) is None
-    # capacity: job 1 (18) into job 3's batch (17) on machine 2 (cap 20)
-    assert apply_move(example, layout, MoveJob(job=1, machine=1, batch=0)) is None
+    search = _Search(example, [[[1]], [[3], [9]]])  # a partial layout is fine
+    assert search.locate(9) == (1, 1)
+    for move in (
+        MoveJob(job=1, machine=1, batch=1),  # attribute 2 into attribute 1
+        MoveJob(job=9, machine=0, batch=0),  # job 9 not eligible on machine 1
+        MoveJob(job=1, machine=1, batch=0),  # sizes 18 + 17 > capacity 20
+        MoveJob(job=9, machine=1, batch=1),  # into its own batch
+    ):
+        assert edited_layout(search, move) is None
+        assert apply_move(example, search.layout, move) is None
+    # new batches: job 3 is not eligible on machine 1; scheduling rejects
+    # what the reference lets through
+    move = MoveJobNewBatch(job=3, machine=0, position=0)
+    assert edited_layout(search, move) is None
+    assert search.evaluate(move) is None
+    assert apply_move(example, search.layout, move) == [[[3], [1]], [[9]]]
 
 
 def test_move_job_passes_cheap_checks_and_reschedules(example):
     # job 5 into job 8's batch: combined size 17 <= 18 and the processing
-    # windows meet at 50, so the move survives the cheap checks and the
+    # windows meet at 50, so the move survives the batch rules and the
     # machine reschedules cleanly
-    from ovensched import build_schedule
-
-    layout = layout_of(example)
+    search = _Search(example, layout_of(example))
     target = next(
-        (m, b) for m, row in enumerate(layout) for b, batch in enumerate(row) if batch == [8]
+        (m, b)
+        for m, row in enumerate(search.layout)
+        for b, batch in enumerate(row)
+        if batch == [8]
     )
-    new_layout = apply_move(example, layout, MoveJob(job=5, machine=target[0], batch=target[1]))
-    assert new_layout is not None
-    assert sorted(new_layout[target[0]][-1]) == [5, 8]
-    build_schedule(example, new_layout)  # must not raise
+    move = MoveJob(job=5, machine=target[0], batch=target[1])
+    outcome = search.evaluate(move)
+    assert outcome is not None
+    search.accept(move, *outcome)
+    assert sorted(search.layout[target[0]][-1]) == [5, 8]
+    build_schedule(example, search.layout)  # must not raise
 
 
 def test_no_move_available():
@@ -309,7 +395,7 @@ def _walk(instance, walk_seed, moves, events):
         assert outcome is not None
         candidates, totals = outcome
         assert sorted(candidates) == changed
-        edits = _edit_rows(instance, search.layout, move, search.locate)
+        edits = search.edit_rows(move)
         for m, batches in rebuilt.items():
             machine = instance.machines[m]
             old, candidate, edit = search.rows[m], candidates[m], edits[m]

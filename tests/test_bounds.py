@@ -20,6 +20,15 @@ from ovensched.bounds import NoFeasiblePlacement, attribute_bounds, combine_over
 from conftest import EXAMPLE_OBJECTIVE_LB, tiny_config
 
 
+def small_jobs(instance, attribute):
+    return classify_large_small(instance, attribute)[1]
+
+
+def proc_lb(instance, attribute):
+    small = small_jobs(instance, attribute)
+    return proc_lb_eligibility(instance, small, batch_lb_eligibility(instance, small))
+
+
 def test_classify_large_small(example):
     large2, small2 = classify_large_small(example, 2)
     assert large2 == frozenset({1, 2, 3, 6})
@@ -41,9 +50,23 @@ def test_lone_job_counts_as_large():
     assert large == frozenset({1}) and small == frozenset()
 
 
+def test_smallest_job_pairs_with_the_next_size():
+    # capacity 12: the unique smallest job (5) only fits with the next size
+    # (9), so it is large; two jobs of the smallest size (4 + 4) pair up
+    def classify(sizes):
+        jobs = tuple(
+            Job(i + 1, 1, size, 0, 50, 5, 10, frozenset({1})) for i, size in enumerate(sizes)
+        )
+        inst = Instance((Machine(1, 12, 1, ((0, 100),)),), jobs, 1, ((0,),), ((0,),))
+        return classify_large_small(inst, 1)
+
+    assert classify([9, 5]) == (frozenset({1, 2}), frozenset())
+    assert classify([9, 4, 4]) == (frozenset({1}), frozenset({2, 3}))
+
+
 def test_batch_lb_capacity(example):
-    eq1_a1, eq2_a1 = batch_lb_capacity(example, 1)
-    eq1_a2, eq2_a2 = batch_lb_capacity(example, 2)
+    eq1_a1, eq2_a1 = batch_lb_capacity(example, *classify_large_small(example, 1))
+    eq1_a2, eq2_a2 = batch_lb_capacity(example, *classify_large_small(example, 2))
     assert eq1_a1 == 1  # ceil(20 / 20)
     assert eq1_a1 + eq1_a2 == 6
     assert eq2_a2 == 6
@@ -58,15 +81,15 @@ def test_batch_lb_capacity_no_jobs():
         setup_times=((0,),),
         setup_costs=((0,),),
     )
-    assert batch_lb_capacity(inst, 1) == (0, 0)
+    assert batch_lb_capacity(inst, *classify_large_small(inst, 1)) == (0, 0)
 
 
 def test_batch_lb_eligibility(example):
-    total1, forced1, spill1 = batch_lb_eligibility(example, 1)
+    total1, forced1, spill1 = batch_lb_eligibility(example, small_jobs(example, 1))
     assert forced1 == {1: 1, 2: 1}  # job 4 on machine 1, job 9 on machine 2
     assert spill1 == 0
     assert total1 == 2
-    total2, forced2, spill2 = batch_lb_eligibility(example, 2)
+    total2, forced2, spill2 = batch_lb_eligibility(example, small_jobs(example, 2))
     assert forced2 == {1: 1}  # job 8
     assert spill2 == 1  # jobs 5 and 7 exceed the residual room of 7
     assert total2 == 2
@@ -84,13 +107,13 @@ def test_batch_lb_eligibility_single_spill():
         setup_times=((0,),),
         setup_costs=((0,),),
     )
-    total, forced, spill = batch_lb_eligibility(inst, 1)
+    total, forced, spill = batch_lb_eligibility(inst, small_jobs(inst, 1))
     assert forced == {} and spill == 1 and total == 1
 
 
 def test_proc_lb_eligibility(example):
-    assert proc_lb_eligibility(example, 1) == 38  # 19 + 19
-    assert proc_lb_eligibility(example, 2) == 60  # 50 forced + 10 spill
+    assert proc_lb(example, 1) == 38  # 19 + 19
+    assert proc_lb(example, 2) == 60  # 50 forced + 10 spill
     # no small jobs -> 0
     inst = Instance(
         machines=(Machine(1, 5, 1, ((0, 100),)),),
@@ -99,7 +122,7 @@ def test_proc_lb_eligibility(example):
         setup_times=((0,),),
         setup_costs=((0,),),
     )
-    assert proc_lb_eligibility(inst, 1) == 0
+    assert proc_lb(inst, 1) == 0
 
 
 def test_proc_lb_longest_small_job_replacement():
@@ -116,10 +139,10 @@ def test_proc_lb_longest_small_job_replacement():
         setup_times=((0,),),
         setup_costs=((0,),),
     )
-    total, forced, spill = batch_lb_eligibility(inst, 1)
+    total, forced, spill = batch_lb_eligibility(inst, small_jobs(inst, 1))
     assert forced == {1: 1} and spill == 1 and total == 2
     # naive terms are [5, 7]; 7 is replaced by the overall largest 30
-    assert proc_lb_eligibility(inst, 1) == 35
+    assert proc_lb(inst, 1) == 35
     # shrink the multi-eligible jobs so they fit the forced leftover: the
     # single term 5 is lifted to 30
     jobs = (
@@ -128,8 +151,8 @@ def test_proc_lb_longest_small_job_replacement():
         Job(3, 1, 3, 0, 400, 7, 40, frozenset({1, 2})),
     )
     inst2 = Instance(inst.machines, jobs, 1, inst.setup_times, inst.setup_costs)
-    assert batch_lb_eligibility(inst2, 1).spill == 0
-    assert proc_lb_eligibility(inst2, 1) == 30
+    assert batch_lb_eligibility(inst2, small_jobs(inst2, 1)).spill == 0
+    assert proc_lb(inst2, 1) == 30
 
 
 def test_gac_plus_examples():
@@ -239,7 +262,7 @@ def test_dominance_chain_on_random_instances():
         inst = generate_instance(tiny_config(9, seed + 1000))
         for attribute in range(1, inst.attribute_count + 1):
             detail = attribute_bounds(inst, attribute)
-            eq1, eq2 = batch_lb_capacity(inst, attribute)
+            eq1, eq2 = batch_lb_capacity(inst, *classify_large_small(inst, attribute))
             assert eq1 <= eq2
             assert eq2 <= len(detail.large_jobs) + detail.b_elig_small
             assert eq1 <= len(detail.large_jobs) + detail.b_gac_small

@@ -5,7 +5,7 @@ import io
 
 from ovensched.cli import dispatch
 
-from conftest import EXAMPLE_PATH
+from conftest import EXAMPLE_PATH, FIXTURES
 
 EXAMPLE = str(EXAMPLE_PATH)
 
@@ -163,8 +163,20 @@ def test_usage_errors(capsys, tmp_path):
 
 
 def test_anneal_rejects_params_that_switch_the_search_off(capsys):
-    for flags in (["--moves-per-level", "-5"], ["--time-limit", "nan"], ["--lb-gap-stop", "nan"]):
+    for flags in (
+        ["--moves-per-level", "-5"],
+        ["--time-limit", "nan"],
+        ["--lb-gap-stop", "nan"],
+        ["--lb-gap-stop", "-5"],
+        ["--workers", "0"],
+        ["--workers", "-4"],
+    ):
         code, out, err = run(capsys, "anneal", EXAMPLE, "--workers", "1", *flags)
+        assert code == 1
+        assert out == ""
+        assert "must be" in err
+    for flags in (["--workers", "0"], ["--workers", "-4"], ["--lb-gap-stop", "-5"]):
+        code, out, err = run(capsys, "bench", str(FIXTURES), "--workers", "1", *flags)
         assert code == 1
         assert out == ""
         assert "must be" in err

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import random
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +8,6 @@ from ovensched import (
     Job,
     Machine,
     ObjectiveWeights,
-    compatible,
     generate_instance,
     validate_instance,
 )
@@ -86,26 +83,6 @@ def test_earliest_start_matches_brute_force(windows, lower, setup, proc):
     assert machine.earliest_start(lower, setup, proc) == _brute_earliest_start(
         windows, lower, setup, proc
     )
-
-
-def test_compatible_examples(example):
-    job = {j.id: j for j in example.jobs}
-    assert compatible(job[8], job[5])  # [50,50] vs [10,50]
-    assert compatible(job[4], job[10])  # [19,19] vs [11,50]
-    a = Job(1, 1, 1, 0, 10, 1, 2, frozenset({1}))
-    b = Job(2, 1, 1, 0, 10, 3, 4, frozenset({1}))
-    assert not compatible(a, b)
-
-
-def test_compatible_is_symmetric_and_reflexive():
-    rng = random.Random(5)
-    for _ in range(200):
-        lo1 = rng.randint(1, 20)
-        lo2 = rng.randint(1, 20)
-        a = Job(1, 1, 1, 0, 10, lo1, lo1 + rng.randint(0, 10), frozenset({1}))
-        b = Job(2, 1, 1, 0, 10, lo2, lo2 + rng.randint(0, 10), frozenset({1}))
-        assert compatible(a, a)
-        assert compatible(a, b) == compatible(b, a)
 
 
 def test_weights_derivation(example):

@@ -17,7 +17,7 @@ from ovensched import (
 )
 from ovensched.oracle import BudgetExceeded, Infeasible, OracleLimits
 
-from conftest import EXAMPLE_OBJECTIVE, EXAMPLE_OPTIMAL, tiny_config
+from conftest import EXAMPLE_OBJECTIVE, EXAMPLE_OPTIMAL, schedule_digest, tiny_config
 
 
 def test_min_clique_cover_worked_example():
@@ -143,3 +143,61 @@ def test_monotonicity_of_cover_under_removal():
         sub_count, sub_proc = min_clique_cover(units[:drop] + units[drop + 1 :], capacity)
         assert sub_count <= count
         assert sub_proc <= proc
+
+
+# The 20 instances of acceptance criterion 7: cost, node counts (pruned and
+# unpruned) and the optimum's layout and start times, as the search found
+# them when each block kept its own copy of the batch rules.
+@pytest.mark.parametrize(
+    "index, components, pruned_nodes, unpruned_nodes, digest",
+    [
+        (0, (74, 0, 2), 32, 138,
+         "0aa57ae7a711d1b96eed0be957fe53ad256051b7a0ecc4662d233c9b1e56a326"),
+        (1, (131, 2, 34), 19031, 19031,
+         "5c3fd8e2fd283f4a3c70f5f9402f7a5235f005dab5dceb62ef3c8a9943131ea7"),
+        (2, (115, 0, 59), 3322, 24299,
+         "fda79d673980dab5a837b4b8e9ac21ea214a421b4a789d0ca8120f19c4657ce5"),
+        (3, (159, 2, 22), 1566, 1566,
+         "a8659638128bdd58d396dc2ed86b0169a5c6bc698f5f4920fa1a3fa829c080ee"),
+        (4, (92, 1, 36), 1079, 1079,
+         "2dd0d377558de2bf49fc489e55c209fa74a48052998751f0daffb3cf30f292bd"),
+        (5, (122, 0, 11), 3626, 3626,
+         "56e0b9de82559081bb9500dd60e5c17925664fd69dbe3619367a88b1526947b7"),
+        (6, (132, 1, 54), 77393, 77393,
+         "3740d29fdddec9fdccad161abd499a194bdbf6dfb510d19abf4fc8c4d8bba3d9"),
+        (7, (149, 1, 50), 114055, 114055,
+         "69fed35ab8f332b0e6415d5c033b2309d37fe5ab716f9f0e792836aa19d242a9"),
+        (8, (145, 1, 28), 1689, 1689,
+         "cb44bbe3b87d9afdf71972f7563e956ef7576697cd21c9476d10034709265860"),
+        (9, (90, 0, 54), 2873, 13692,
+         "8f35c8ac02b674377d748f773a275178483e11842b60db779ea8f4d572401667"),
+        (10, (148, 3, 61), 15945, 15945,
+         "dec592f8e63a0fc3d9f140d7ee9bd22a4de422e7a386fa9a59e25b22bc37e336"),
+        (11, (130, 1, 31), 254636, 254636,
+         "2a464fc61e330ecc4b3d410c7bec398ab4b4d9f84193c002ad5e5d8b10f6c779"),
+        (12, (105, 2, 16), 436, 436,
+         "f033bdd2f5bb0b6898e5724840445e0d414686bde84dd5a6c1889e09c6ca6fc0"),
+        (13, (103, 0, 68), 19064, 19064,
+         "a561ef0f0054ec0a127f9af0610a905e45a157e2b48b0fab0d8c2df0ef615945"),
+        (14, (129, 2, 34), 22174, 22174,
+         "a7914b9353f45df7d1a99a39a8d60557c470f7149e8414874cfaf84e3b6d4584"),
+        (15, (165, 2, 70), 7524, 7524,
+         "7bc5e5f6d6845cce0c23186ad065258e9c873575e784e46eb392538cc1176eeb"),
+        (16, (111, 2, 20), 1867, 1867,
+         "a76634068d1170a6847f43da35ae9cf841c44896302d76f9c72baef7ded2674d"),
+        (17, (115, 0, 37), 4825, 4825,
+         "98788be9a66601ea1e84bc35ec7390942b344607e16f5e1371ae600c3bc5852b"),
+        (18, (158, 2, 29), 111208, 111208,
+         "0e6a16abda5f6c10e474a0fe13650c660d198e80d2ff40fd5288aae8e5cfcb58"),
+        (19, (163, 2, 61), 33924, 33924,
+         "f65bc2dc1491ba5b5965ecec40361afb78090617b4b3702b2c4d1454774afa99"),
+    ],
+)
+def test_pinned_optima(index, components, pruned_nodes, unpruned_nodes, digest):
+    instance = generate_instance(tiny_config(6 + index % 4, 30000 + index))
+    for prune, nodes in ((True, pruned_nodes), (False, unpruned_nodes)):
+        result = exact_solve(instance, prune_with_lb=prune)
+        cost = result.cost
+        assert (cost.proc_time, cost.tardy, cost.setup_cost) == components
+        assert result.nodes == nodes
+        assert schedule_digest(result.solution) == digest

@@ -3,11 +3,15 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ovensched import (
     Batch,
     InfeasibleBatch,
     InfeasibleSolution,
+    Instance,
+    Job,
+    Machine,
     ObjectiveWeights,
     Solution,
     build_schedule,
@@ -16,6 +20,7 @@ from ovensched import (
     generate_instance,
     relative_gap,
 )
+from ovensched.schedule import BatchSummary, summarize
 
 from conftest import (
     EXAMPLE_OPTIMAL,
@@ -209,3 +214,53 @@ def test_built_schedules_are_always_feasible():
                     )
             evaluate(instance, solution, w)  # must not raise
     assert built > 100  # sanity: the property was actually exercised
+
+
+def _reference_summary(instance, job_ids):
+    """summarize as one generator per field."""
+    jobs = [instance.job(j) for j in job_ids]
+    attribute = jobs[0].attribute
+    return BatchSummary(
+        attribute if all(j.attribute == attribute for j in jobs) else None,
+        sum(j.size for j in jobs),
+        max(j.min_time for j in jobs),
+        min(j.max_time for j in jobs),
+        max(j.release for j in jobs),
+        tuple(sorted(j.due for j in jobs)),
+        frozenset.intersection(*(j.eligible for j in jobs)),
+    )
+
+
+@st.composite
+def _batches(draw):
+    """An instance of 1-4 jobs (attributes 1-3, any eligibility over three
+    machines, min_time above max_time allowed) and a batch of its jobs in
+    any order."""
+    n = draw(st.integers(1, 4))
+    value = st.integers(0, 30)
+    jobs = tuple(
+        Job(
+            i + 1,
+            draw(st.integers(1, 3)),
+            draw(st.integers(1, 10)),
+            draw(value),
+            draw(value),
+            draw(value),
+            draw(value),
+            frozenset(draw(st.sets(st.integers(1, 3), min_size=1))),
+        )
+        for i in range(n)
+    )
+    machines = tuple(Machine(m, 20, 1, ((0, 100),)) for m in (1, 2, 3))
+    zeros = ((0,) * 3,) * 3
+    instance = Instance(machines, jobs, 3, zeros, zeros)
+    ids = draw(st.permutations(range(1, n + 1)))
+    return instance, ids[: draw(st.integers(1, n))]
+
+
+@given(_batches())
+def test_summarize_matches_field_by_field_reference(case):
+    instance, job_ids = case
+    summary = summarize(instance, job_ids)
+    assert summary == _reference_summary(instance, job_ids)
+    assert type(summary.dues) is tuple and type(summary.eligible) is frozenset
