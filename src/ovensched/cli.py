@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -41,8 +42,6 @@ from .schedule import (
     relative_gap,
 )
 
-WORKERS_ENV = "OVENSCHED_WORKERS"
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
@@ -58,17 +57,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _pool_workers(task_count: int, override: int | None) -> int:
-    if override is not None:
-        workers = override
-    else:
-        env = os.environ.get(WORKERS_ENV, "")
-        workers = int(env) if env.isdigit() and int(env) > 0 else (os.cpu_count() or 1)
-    return max(1, min(task_count, workers))
-
-
 def _map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
-    if workers <= 1 or len(items) <= 1:
+    """fn over items in order, on a pool of at most one worker per item."""
+    workers = min(workers, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
     # imported here: the pool module is a sizeable share of the CLI's start-up
     from concurrent.futures import ProcessPoolExecutor
@@ -107,6 +99,54 @@ def _print_bound_report(path: str, instance: Instance, report: BoundReport) -> N
     print(f"objective_lb {report.objective_lb:.6f}")
 
 
+def _bounds_row(instance: str, report: BoundReport) -> ResultRow:
+    return ResultRow(
+        instance=instance,
+        method="bounds",
+        objective=None,
+        proc_time=report.proc_lb,
+        tardy=report.tardy_lb,
+        setup_cost=report.setup_lb,
+        objective_lb=report.objective_lb,
+        gap_pct=None,
+        seed=None,
+        elapsed_s=report.wall_time,
+    )
+
+
+def _solution_row(
+    instance: str,
+    method: str,
+    cost: CostBreakdown,
+    report: BoundReport,
+    seed: int | None,
+    elapsed: float,
+) -> ResultRow:
+    return ResultRow(
+        instance=instance,
+        method=method,
+        objective=cost.objective,
+        proc_time=cost.proc_time,
+        tardy=cost.tardy,
+        setup_cost=cost.setup_cost,
+        objective_lb=report.objective_lb,
+        gap_pct=relative_gap(cost.objective, report.objective_lb),
+        seed=seed,
+        elapsed_s=elapsed,
+    )
+
+
+def _anneal_rows(
+    instance: str, outcomes: list[tuple[int, AnnealResult]], report: BoundReport
+) -> list[ResultRow]:
+    return [
+        _solution_row(
+            instance, "anneal", result.cost, report, seed, result.trace.points[-1].elapsed
+        )
+        for seed, result in outcomes
+    ]
+
+
 def _write_results_file(path: str, rows: list[ResultRow]) -> None:
     Path(path).write_text(write_results(rows), encoding="utf-8")
 
@@ -117,19 +157,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     _print_bound_report(args.instance, instance, report)
     print(f"computed in {report.wall_time:.3f}s", file=sys.stderr)
     if args.results:
-        row = ResultRow(
-            instance=args.instance,
-            method="bounds",
-            objective=None,
-            proc_time=report.proc_lb,
-            tardy=report.tardy_lb,
-            setup_cost=report.setup_lb,
-            objective_lb=report.objective_lb,
-            gap_pct=None,
-            seed=None,
-            elapsed_s=report.wall_time,
-        )
-        _write_results_file(args.results, [row])
+        _write_results_file(args.results, [_bounds_row(args.instance, report)])
     return EXIT_OK
 
 
@@ -145,19 +173,7 @@ def _cmd_greedy(args: argparse.Namespace) -> int:
     if args.solution:
         Path(args.solution).write_text(write_solution(solution), encoding="utf-8")
     if args.results:
-        report = objective_lb(instance)
-        row = ResultRow(
-            instance=args.instance,
-            method="greedy",
-            objective=cost.objective,
-            proc_time=cost.proc_time,
-            tardy=cost.tardy,
-            setup_cost=cost.setup_cost,
-            objective_lb=report.objective_lb,
-            gap_pct=relative_gap(cost.objective, report.objective_lb),
-            seed=None,
-            elapsed_s=elapsed,
-        )
+        row = _solution_row(args.instance, "greedy", cost, objective_lb(instance), None, elapsed)
         _write_results_file(args.results, [row])
     return EXIT_OK
 
@@ -172,32 +188,33 @@ def _run_replicates(
     base: AnnealParams,
     lb: BoundReport | None,
     seeds: Sequence[int],
-    workers: int | None,
+    workers: int,
 ) -> list[tuple[int, AnnealResult]]:
-    from dataclasses import replace
-
     payloads = [(instance, replace(base, rng_seed=seed), lb) for seed in seeds]
-    pool_size = _pool_workers(len(payloads), workers)
-    results = _map_ordered(_anneal_task, payloads, pool_size)
+    results = _map_ordered(_anneal_task, payloads, workers)
     return sorted(zip(seeds, results), key=lambda pair: pair[0])
 
 
 def _check_counts(args: argparse.Namespace) -> None:
     if args.replicates < 1:
         raise _UsageError("--replicates must be at least 1")
-    if args.workers is not None and args.workers < 1:
+    if args.workers < 1:
         raise _UsageError("--workers must be at least 1")
+
+
+def _anneal_params(args: argparse.Namespace) -> AnnealParams:
+    return AnnealParams(
+        time_limit=args.time_limit,
+        lb_gap_stop=args.lb_gap_stop,
+        moves_per_level=args.moves_per_level,
+    )
 
 
 def _cmd_anneal(args: argparse.Namespace) -> int:
     _check_counts(args)
     instance = _load_instance(args.instance)
     lb = objective_lb(instance)
-    params = AnnealParams(
-        time_limit=args.time_limit,
-        lb_gap_stop=args.lb_gap_stop,
-        moves_per_level=args.moves_per_level,
-    )
+    params = _anneal_params(args)
     seeds = [args.seed + i for i in range(args.replicates)]
     started = time.perf_counter()
     outcomes = _run_replicates(instance, params, lb, seeds, args.workers)
@@ -226,22 +243,7 @@ def _cmd_anneal(args: argparse.Namespace) -> int:
                 )
         Path(args.trace).write_text("\n".join(lines) + "\n", encoding="utf-8")
     if args.results:
-        rows = [
-            ResultRow(
-                instance=args.instance,
-                method="anneal",
-                objective=result.cost.objective,
-                proc_time=result.cost.proc_time,
-                tardy=result.cost.tardy,
-                setup_cost=result.cost.setup_cost,
-                objective_lb=lb.objective_lb,
-                gap_pct=relative_gap(result.cost.objective, lb.objective_lb),
-                seed=seed,
-                elapsed_s=result.trace.points[-1].elapsed,
-            )
-            for seed, result in outcomes
-        ]
-        _write_results_file(args.results, rows)
+        _write_results_file(args.results, _anneal_rows(args.instance, outcomes, lb))
     return EXIT_OK
 
 
@@ -278,30 +280,15 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    flags = {"n_jobs": args.n, "n_machines": args.k, "n_attributes": args.a, "seed": args.seed}
+    given = {field: value for field, value in flags.items() if value is not None}
     if args.config:
-        config = GeneratorConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
-        overrides = {}
-        if args.n is not None:
-            overrides["n_jobs"] = args.n
-        if args.k is not None:
-            overrides["n_machines"] = args.k
-        if args.a is not None:
-            overrides["n_attributes"] = args.a
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if overrides:
-            from dataclasses import replace
-
-            config = replace(config, **overrides)
+        base = GeneratorConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
+        config = replace(base, **given)
+    elif args.n is None:
+        raise _UsageError("generate requires --n or --config")
     else:
-        if args.n is None:
-            raise _UsageError("generate requires --n or --config")
-        config = GeneratorConfig(
-            n_jobs=args.n,
-            n_machines=args.k if args.k is not None else 2,
-            n_attributes=args.a if args.a is not None else 2,
-            seed=args.seed if args.seed is not None else 1,
-        )
+        config = GeneratorConfig(**given)
     instance = generate_instance(config)
     Path(args.output).write_text(write_instance(instance), encoding="utf-8")
     if args.save_config:
@@ -313,39 +300,21 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _bench_task(payload: tuple[str, float, float | None, Sequence[int], int]) -> list[ResultRow]:
-    path, time_limit, lb_gap_stop, seeds, moves_per_level = payload
+def _bench_task(payload: tuple[str, AnnealParams, Sequence[int]]) -> list[ResultRow]:
+    """The bounds, greedy and anneal rows of one instance, named by its file name."""
+    path, params, seeds = payload
     instance = _load_instance(path)
     name = Path(path).name
-    rows: list[ResultRow] = []
-
     report = objective_lb(instance)
-    rows.append(
-        ResultRow(name, "bounds", None, report.proc_lb, report.tardy_lb, report.setup_lb,
-                  report.objective_lb, None, None, report.wall_time)
-    )
-
     started = time.perf_counter()
     _, greedy_cost = construct(instance)
     greedy_elapsed = time.perf_counter() - started
-    rows.append(
-        ResultRow(name, "greedy", greedy_cost.objective, greedy_cost.proc_time,
-                  greedy_cost.tardy, greedy_cost.setup_cost, report.objective_lb,
-                  relative_gap(greedy_cost.objective, report.objective_lb), None, greedy_elapsed)
-    )
-
-    params = AnnealParams(
-        time_limit=time_limit, lb_gap_stop=lb_gap_stop, moves_per_level=moves_per_level
-    )
-    for seed, result in _run_replicates(instance, params, report, list(seeds), workers=1):
-        cost = result.cost
-        rows.append(
-            ResultRow(name, "anneal", cost.objective, cost.proc_time, cost.tardy,
-                      cost.setup_cost, report.objective_lb,
-                      relative_gap(cost.objective, report.objective_lb), seed,
-                      result.trace.points[-1].elapsed)
-        )
-    return rows
+    outcomes = _run_replicates(instance, params, report, seeds, workers=1)
+    return [
+        _bounds_row(name, report),
+        _solution_row(name, "greedy", greedy_cost, report, None, greedy_elapsed),
+        *_anneal_rows(name, outcomes, report),
+    ]
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -356,13 +325,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     paths = sorted(str(p) for p in directory.glob("*.osp"))
     if not paths:
         raise _UsageError(f"no *.osp instances under {args.directory}")
+    params = _anneal_params(args)
     seeds = [args.seed + i for i in range(args.replicates)]
-    payloads = [
-        (path, args.time_limit, args.lb_gap_stop, seeds, args.moves_per_level)
-        for path in paths
-    ]
-    pool_size = _pool_workers(len(payloads), args.workers)
-    all_rows = [row for rows in _map_ordered(_bench_task, payloads, pool_size) for row in rows]
+    payloads = [(path, params, seeds) for path in paths]
+    all_rows = [row for rows in _map_ordered(_bench_task, payloads, args.workers) for row in rows]
     table = write_results(all_rows)
     if args.out:
         Path(args.out).write_text(table, encoding="utf-8")
@@ -370,6 +336,19 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     else:
         print(table, end="")
     return EXIT_OK
+
+
+def _add_anneal_flags(p: argparse.ArgumentParser) -> None:
+    """The flags that anneal and bench share."""
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--time-limit", type=float, default=360.0)
+    p.add_argument("--lb-gap-stop", type=float, default=None,
+                   help="stop when the gap to the lower bound reaches this percentage")
+    p.add_argument("--replicates", type=int, default=10)
+    p.add_argument("--moves-per-level", type=int, default=0,
+                   help="moves per temperature level (0 = 50 per job)")
+    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                   help="worker processes, at most one per task (default: CPU count)")
 
 
 def _build_parser() -> _Parser:
@@ -391,15 +370,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("anneal", help="run simulated annealing replicates")
     p.add_argument("instance")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--time-limit", type=float, default=360.0)
-    p.add_argument("--lb-gap-stop", type=float, default=None,
-                   help="stop when the gap to the lower bound reaches this percentage")
-    p.add_argument("--replicates", type=int, default=10)
-    p.add_argument("--moves-per-level", type=int, default=0,
-                   help="moves per temperature level (0 = 50 per job)")
-    p.add_argument("--workers", type=int, default=None,
-                   help=f"worker processes (default ${WORKERS_ENV} or CPU count)")
+    _add_anneal_flags(p)
     p.add_argument("--trace", help="write best-so-far trace CSV here")
     p.add_argument("--results", help="write a results CSV here")
     p.set_defaults(func=_cmd_anneal)
@@ -428,12 +399,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="run bounds+greedy+anneal over a directory")
     p.add_argument("directory")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--time-limit", type=float, default=360.0)
-    p.add_argument("--lb-gap-stop", type=float, default=None)
-    p.add_argument("--replicates", type=int, default=10)
-    p.add_argument("--moves-per-level", type=int, default=0)
-    p.add_argument("--workers", type=int, default=None)
+    _add_anneal_flags(p)
     p.add_argument("--out", help="write the results CSV here instead of stdout")
     p.set_defaults(func=_cmd_bench)
 

@@ -37,7 +37,7 @@ import csv
 import io
 import json
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable
 
 from .model import (
@@ -53,19 +53,6 @@ from .model import (
 
 INSTANCE_HEADER = "osp-instance v1"
 SOLUTION_HEADER = "osp-solution v1"
-
-RESULT_COLUMNS = (
-    "instance",
-    "method",
-    "objective",
-    "proc_time",
-    "tardy",
-    "setup_cost",
-    "objective_lb",
-    "gap_pct",
-    "seed",
-    "elapsed_s",
-)
 
 
 class ParseError(Exception):
@@ -461,7 +448,8 @@ def _generate_once(config: GeneratorConfig, rng: random.Random) -> Instance:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One line of the experiment results table."""
+    """One line of the experiment results table; the field order is the
+    column order."""
 
     instance: str
     method: str
@@ -475,24 +463,15 @@ class ResultRow:
     elapsed_s: float | None
 
 
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
+
+
 def write_results(rows: Iterable[ResultRow]) -> str:
     """Render rows as CSV with the fixed column order and full precision."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(RESULT_COLUMNS)
     for row in rows:
-        writer.writerow(
-            ["" if value is None else value for value in (
-                row.instance,
-                row.method,
-                row.objective,
-                row.proc_time,
-                row.tardy,
-                row.setup_cost,
-                row.objective_lb,
-                row.gap_pct,
-                row.seed,
-                row.elapsed_s,
-            )]
-        )
+        values = (getattr(row, column) for column in RESULT_COLUMNS)
+        writer.writerow(["" if value is None else value for value in values])
     return buffer.getvalue()

@@ -208,6 +208,18 @@ class ObjectiveWeights:
     def weight_sum(self) -> int:
         return self.w_proc + self.w_tardy + self.w_setup
 
+    def score(self, proc_time: int, tardy: int, setup_cost: int) -> int:
+        """The objective's weighted sum times proc_norm*setup_norm, as an integer.
+
+        Orders schedules of one instance exactly as objective does, with no
+        rounding, so comparisons and ties on it are exact.
+        """
+        return (
+            self.w_proc * proc_time * self.setup_norm
+            + self.w_setup * setup_cost * self.proc_norm
+            + self.w_tardy * tardy * self.proc_norm * self.setup_norm
+        )
+
     def objective(self, proc_time: int, tardy: int, setup_cost: int, n_jobs: int) -> float:
         if n_jobs == 0:
             return 0.0

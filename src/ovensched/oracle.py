@@ -10,8 +10,9 @@ batchings that would contain it. Lower bounds from the bounds module can
 prune batchings whose bound already exceeds the incumbent. Also houses the
 brute-force minimum clique cover used to verify the greedy cover algorithm.
 
-Objective comparisons use an integer rescaling of the normalized objective,
-so incumbent updates, tie-breaking and pruning are exact.
+Objective comparisons use ObjectiveWeights.score, an integer rescaling of
+the normalized objective, so incumbent updates, tie-breaking and pruning
+are exact.
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ from .schedule import BatchSummary, batch_fault, machine_cost, schedule_machine,
 @dataclass(frozen=True)
 class OracleLimits:
     max_jobs: int = 9
-    max_time_horizon: int = 10**9
     node_budget: int = 5_000_000
 
     def __post_init__(self) -> None:
-        if min(self.max_jobs, self.max_time_horizon, self.node_budget) <= 0:
+        if min(self.max_jobs, self.node_budget) <= 0:
             raise ValueError("all oracle limits must be positive")
 
 
@@ -145,9 +145,8 @@ class _MachineOrderSearch:
         self.budget = budget
         self.nodes = 0
         self.cache: dict[tuple, tuple | None] = {}
-        pn, sn = weights.proc_norm, weights.setup_norm
-        self.tardy_scale = weights.w_tardy * pn * sn
-        self.setup_scale = weights.w_setup * pn
+        self.tardy_scale = weights.score(0, 1, 0)
+        self.setup_scale = weights.score(0, 0, 1)
         self.min_in_cost = {
             r: min(instance.setup_cost(q, r) for q in range(1, instance.attribute_count + 1))
             for r in range(1, instance.attribute_count + 1)
@@ -231,20 +230,6 @@ def exact_solve(
         raise BudgetExceeded(
             f"instance has {instance.n_jobs} jobs, oracle limited to {limits.max_jobs}"
         )
-    horizon = max(
-        (end for m in instance.machines for _, end in m.availability), default=0
-    )
-    if horizon > limits.max_time_horizon:
-        raise BudgetExceeded(f"availability horizon {horizon} exceeds the oracle limit")
-
-    pn, sn = weights.proc_norm, weights.setup_norm
-
-    def score_of(proc: int, tardy: int, setup: int) -> int:
-        return (
-            weights.w_proc * proc * sn
-            + weights.w_setup * setup * pn
-            + weights.w_tardy * tardy * pn * sn
-        )
 
     try:
         global_tardy_floor, _ = tardy_lb(instance)
@@ -292,7 +277,7 @@ def exact_solve(
             if best_score is not None:
                 counts = {r + 1: len(parts) for r, parts in enumerate(combo)}
                 setup_floor = setup_cost_lb(instance, counts, len(blocks)).best
-                if score_of(proc_fixed, batching_tardy_floor, setup_floor) > best_score:
+                if weights.score(proc_fixed, batching_tardy_floor, setup_floor) > best_score:
                     continue
 
         for assignment in itertools.product(*(b.machines for b in blocks)):
@@ -302,7 +287,7 @@ def exact_solve(
                 per_machine[machine_index[machine_id]].append(block)
             orders = []
             feasible = True
-            total_score = score_of(proc_fixed, 0, 0)
+            total_score = weights.score(proc_fixed, 0, 0)
             for machine, machine_blocks in zip(instance.machines, per_machine):
                 outcome = search.best_order(machine, tuple(machine_blocks))
                 if outcome is None:

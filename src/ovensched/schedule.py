@@ -16,7 +16,10 @@ incremental move evaluation and the exact oracle take a batch's fields
 only from its summary and test the rules only with batch_fault, then place
 the batch with Machine.earliest_start, after the previous batch's end plus
 setup and the batch's latest release. check_feasibility, which reports
-every rule that given batches break, is the one independent reading.
+every rule that given batches break, is the one independent reading, and
+stays independent on purpose: it is the reference that evaluate(check=True)
+and the benchmark's checks hold the annealer's and the oracle's output to,
+so routing it through batch_fault would let a batch_fault bug pass unseen.
 """
 
 from __future__ import annotations

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
+import os
+import shutil
+
+import pytest
 
 from ovensched.cli import dispatch
+from ovensched.fileio import RESULT_COLUMNS
 
 from conftest import EXAMPLE_PATH, FIXTURES
 
@@ -210,12 +216,110 @@ def test_help_exits_zero(capsys):
 
 
 def test_worker_pool_sizing(monkeypatch):
-    from ovensched.cli import WORKERS_ENV, _pool_workers
+    import concurrent.futures
 
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
-    assert _pool_workers(4, override=2) == 2
-    assert _pool_workers(1, override=8) == 1  # never more workers than tasks
-    monkeypatch.setenv(WORKERS_ENV, "3")
-    assert _pool_workers(10, override=None) == 3
-    monkeypatch.setenv(WORKERS_ENV, "not-a-number")
-    assert _pool_workers(10, override=None) >= 1  # falls back to CPU count
+    from ovensched.cli import _build_parser, _map_ordered
+
+    parser = _build_parser()
+    for command in (["anneal", EXAMPLE], ["bench", str(FIXTURES)]):
+        assert parser.parse_args(command).workers == (os.cpu_count() or 1)
+        assert parser.parse_args([*command, "--workers", "3"]).workers == 3
+
+    pool_sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    assert _map_ordered(abs, [-1, -2, -3], workers=2) == [1, 2, 3]
+    assert _map_ordered(abs, [-1, -2], workers=8) == [1, 2]  # never more workers than tasks
+    assert _map_ordered(abs, [-1], workers=8) == [1]  # a single task runs inline
+    assert pool_sizes == [2, 2]
+
+
+ANNEAL_FLAGS = ("--seed", "7", "--replicates", "2", "--workers", "1", "--moves-per-level", "60")
+
+# The --results rows of bounds, greedy and anneal ANNEAL_FLAGS on the fixture,
+# every column from method to seed.
+PINNED_RESULT_ROWS = [
+    ["bounds", "", "158", "7", "68", "0.7065820105820106", "", ""],
+    ["greedy", "0.9928677248677249", "158", "10", "74", "0.7065820105820106",
+     "28.834225054888833", ""],
+    ["anneal", "0.8022010582010582", "158", "8", "72", "0.7065820105820106",
+     "11.91958632334318", "7"],
+    ["anneal", "0.8022010582010582", "158", "8", "72", "0.7065820105820106",
+     "11.91958632334318", "8"],
+]
+
+
+def _result_rows(path):
+    """(instance, columns from method to seed) of each row of a results CSV."""
+    header, *rows = csv.reader(io.StringIO(path.read_text()))
+    assert tuple(header) == RESULT_COLUMNS
+    assert all(float(row[-1]) >= 0 for row in rows)  # elapsed_s
+    return [(row[0], row[1:-1]) for row in rows]
+
+
+def _command_rows(capsys, tmp_path):
+    rows = []
+    for command, flags in (("bounds", ()), ("greedy", ()), ("anneal", ANNEAL_FLAGS)):
+        results = tmp_path / f"{command}.csv"
+        code, _, _ = run(capsys, command, EXAMPLE, *flags, "--results", str(results))
+        assert code == 0
+        rows += _result_rows(results)
+    return rows
+
+
+def test_results_csv_pinned(capsys, tmp_path):
+    rows = _command_rows(capsys, tmp_path)
+    assert [instance for instance, _ in rows] == [EXAMPLE] * len(PINNED_RESULT_ROWS)
+    assert [values for _, values in rows] == PINNED_RESULT_ROWS
+
+
+def test_bench_rows_match_the_commands(capsys, tmp_path):
+    directory = tmp_path / "instances"
+    directory.mkdir()
+    shutil.copy(EXAMPLE_PATH, directory)
+    table = tmp_path / "bench.csv"
+    code, out, _ = run(capsys, "bench", str(directory), *ANNEAL_FLAGS, "--out", str(table))
+    assert code == 0
+    assert out == f"wrote {table} rows 4\n"
+    expected = [(EXAMPLE_PATH.name, values) for _, values in _command_rows(capsys, tmp_path)]
+    assert _result_rows(table) == expected
+
+
+# sha256 of the instance and of the --save-config file that generate writes
+@pytest.mark.parametrize(
+    "flags, instance_digest, config_digest",
+    [
+        (["--n", "12"],
+         "c4acd18b193ad921da788a9b103f3f4b05621ebb0ad97a0dd3d7e40baad196d9",
+         "bd2746d5718a8e7a0610ccd7f150de37c88051e2a2193dd0ad0e3728ac640a7e"),
+        (["--n", "9", "--k", "3", "--a", "4", "--seed", "5"],
+         "e9b6c1e1d96b54b4faced4f54378bf015e74e339da0e11bd2dcd7f372f25b7b9",
+         "f106b496c2a10edb29c50919e180755443a03166288e63ba032ee505f134397c"),
+        (["--config", "base.json", "--k", "3", "--seed", "8"],
+         "8cf0eca38e2558d1ecd1f58822363de049d7d4bc9ee6f21cdbcc2e28b2926f2a",
+         "cb83c8124fbde737209be415a12977b8aff996fff6f2cd4b536a9edc60df7541"),
+    ],
+)
+def test_generate_files_pinned(capsys, tmp_path, monkeypatch, flags, instance_digest,
+                               config_digest):
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(capsys, "generate", "--n", "12", "-o", "base.osp",
+                     "--save-config", "base.json")
+    assert code == 0
+    code, _, _ = run(capsys, "generate", *flags, "-o", "out.osp", "--save-config", "out.json")
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "out.osp").read_bytes()).hexdigest() == instance_digest
+    assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == config_digest

@@ -112,6 +112,15 @@ def test_objective_formula(example):
     assert w.objective(0, 0, 0, 0) == 0.0
 
 
+@given(st.integers(0, 10**4), st.integers(0, 100), st.integers(0, 10**4))
+def test_score_is_the_objective_rescaled(proc, tardy, setup):
+    w = ObjectiveWeights(proc_norm=18, setup_norm=10)
+    scale = w.weight_sum * w.proc_norm * w.setup_norm
+    assert w.score(proc, tardy, setup) == pytest.approx(
+        w.objective(proc, tardy, setup, 1) * scale, rel=1e-12
+    )
+
+
 def test_generated_instances_are_valid():
     for seed in range(8):
         inst = generate_instance(tiny_config(8, seed))

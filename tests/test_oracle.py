@@ -109,8 +109,6 @@ def test_oracle_respects_limits(example):
         exact_solve(example)  # 10 jobs > default max_jobs 9
     with pytest.raises(BudgetExceeded):
         exact_solve(example, limits=OracleLimits(max_jobs=10, node_budget=50))
-    with pytest.raises(BudgetExceeded):
-        exact_solve(example, limits=OracleLimits(max_jobs=10, max_time_horizon=100))
 
 
 def test_oracle_infeasible():
