@@ -9,7 +9,6 @@ an exhaustive oracle on small instances.
 from .anneal import (
     AnnealParams,
     AnnealResult,
-    AnnealTrace,
     Move,
     MoveJob,
     MoveJobNewBatch,

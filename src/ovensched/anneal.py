@@ -85,17 +85,16 @@ class AnnealParams:
     rng_seed: int = 1
     moves_per_level: int = 0
     warmup_moves: int = 1000
-    trace_period: float = 2.0
 
     def __post_init__(self) -> None:
         # NaN fails every comparison, so without the finiteness checks it
         # would slip past the range checks and switch the search off
-        floats = (self.final_temp, self.time_limit, self.trace_period, *self.move_probs)
+        floats = (self.final_temp, self.time_limit, *self.move_probs)
         if self.lb_gap_stop is not None:
             floats += (self.lb_gap_stop,)
         if not all(map(math.isfinite, floats)):
             raise ValueError(
-                "final_temp, time_limit, trace_period, lb_gap_stop and move_probs must be finite"
+                "final_temp, time_limit, lb_gap_stop and move_probs must be finite"
             )
         if not 0 < self.cooling_rate < 1:
             raise ValueError("cooling_rate must be in (0, 1)")
@@ -115,23 +114,21 @@ class AnnealParams:
 
 @dataclass(frozen=True)
 class TracePoint:
+    """The best cost so far, elapsed seconds into the run."""
+
     elapsed: float
     cost: CostBreakdown
 
 
 @dataclass(frozen=True)
-class AnnealTrace:
-    """Best-so-far samples over time; objectives are non-increasing."""
-
-    period: float
-    points: tuple[TracePoint, ...]
-
-
-@dataclass(frozen=True)
 class AnnealResult:
+    """trace is the greedy start at 0.0, a point at each strict improvement
+    of the best cost (timed at the start of the improving move) and the
+    best cost when the run stopped."""
+
     solution: Solution
     cost: CostBreakdown
-    trace: AnnealTrace
+    trace: tuple[TracePoint, ...]
     stop_reason: str  # "final_temp", "time", "gap" or "no_moves"
 
 
@@ -569,7 +566,8 @@ def run_annealing(
     moves around the start solution so that the initial acceptance ratio
     approximates params.accepted_ratio. When `lb` and params.lb_gap_stop are
     given, the search stops as soon as the best objective is within that
-    percentage gap of lb.objective_lb.
+    percentage gap of lb.objective_lb. The run also stops when no move with
+    a positive probability has arguments ("no_moves").
     """
     if params is None:
         params = AnnealParams()
@@ -585,18 +583,17 @@ def run_annealing(
     best_layout: Layout | None = None  # None while the greedy start is best
     best_cost = greedy_cost
 
-    trace_points = [TracePoint(0.0, best_cost)]
-    last_sample = 0.0
+    trace = [TracePoint(0.0, best_cost)]
 
     def elapsed() -> float:
         return time.perf_counter() - started
 
     def finish(reason: str) -> AnnealResult:
-        trace_points.append(TracePoint(elapsed(), best_cost))
+        trace.append(TracePoint(elapsed(), best_cost))
         return AnnealResult(
             solution=greedy_solution if best_layout is None else build_schedule(instance, best_layout),
             cost=best_cost,
-            trace=AnnealTrace(params.trace_period, tuple(trace_points)),
+            trace=tuple(trace),
             stop_reason=reason,
         )
 
@@ -613,7 +610,7 @@ def run_annealing(
         return finish("time")
     if gap_reached(best_cost):
         return finish("gap")
-    if instance.n_jobs == 0 or sum(len(r) for r in layout) == 0:
+    if instance.n_jobs == 0:
         return finish("no_moves")
 
     search = _Search(instance, layout)
@@ -627,43 +624,45 @@ def run_annealing(
         rows, totals = outcome
         return move, rows, totals, weights.objective(*totals, instance.n_jobs)
 
-    # warm-up: average |delta| of random moves around the start solution
-    deltas = []
-    for _ in range(params.warmup_moves):
-        if elapsed() >= params.time_limit:
-            return finish("time")
-        outcome = try_move()
-        if outcome is not None:
-            deltas.append(abs(outcome[3] - current_obj))
-    mean_delta = sum(deltas) / len(deltas) if deltas else 0.0
-    if mean_delta > 0:
-        temperature = -mean_delta / math.log(params.accepted_ratio)
-    else:
-        temperature = params.final_temp
-
-    moves_per_level = params.moves_per_level or 50 * instance.n_jobs
-
-    while temperature > params.final_temp:
-        for _ in range(moves_per_level):
+    try:
+        # warm-up: average |delta| of random moves around the start solution
+        deltas = []
+        for _ in range(params.warmup_moves):
             if elapsed() >= params.time_limit:
                 return finish("time")
             outcome = try_move()
-            if outcome is None:
-                continue
-            move, rows, totals, new_obj = outcome
-            delta = new_obj - current_obj
-            if delta <= 0 or rng.random() < math.exp(-delta / temperature):
-                search.accept(move, rows, totals)
-                current_obj = new_obj
-                if new_obj < best_cost.objective:
-                    best_layout = list(search.layout)
-                    best_cost = CostBreakdown(*totals, new_obj)
-                    if gap_reached(best_cost):
-                        return finish("gap")
-            now = elapsed()
-            if now - last_sample >= params.trace_period:
-                last_sample = now
-                trace_points.append(TracePoint(now, best_cost))
-        temperature *= params.cooling_rate
+            if outcome is not None:
+                deltas.append(abs(outcome[3] - current_obj))
+        mean_delta = sum(deltas) / len(deltas) if deltas else 0.0
+        if mean_delta > 0:
+            temperature = -mean_delta / math.log(params.accepted_ratio)
+        else:
+            temperature = params.final_temp
+
+        moves_per_level = params.moves_per_level or 50 * instance.n_jobs
+
+        while temperature > params.final_temp:
+            for _ in range(moves_per_level):
+                now = elapsed()
+                if now >= params.time_limit:
+                    return finish("time")
+                outcome = try_move()
+                if outcome is None:
+                    continue
+                move, rows, totals, new_obj = outcome
+                delta = new_obj - current_obj
+                if delta <= 0 or rng.random() < math.exp(-delta / temperature):
+                    search.accept(move, rows, totals)
+                    current_obj = new_obj
+                    if new_obj < best_cost.objective:
+                        best_layout = list(search.layout)
+                        best_cost = CostBreakdown(*totals, new_obj)
+                        trace.append(TracePoint(now, best_cost))
+                        if gap_reached(best_cost):
+                            return finish("gap")
+            temperature *= params.cooling_rate
+    except NoMoveAvailable:
+        # no move kind with a positive probability has arguments in the layout
+        return finish("no_moves")
 
     return finish("final_temp")

@@ -141,7 +141,7 @@ def _anneal_rows(
 ) -> list[ResultRow]:
     return [
         _solution_row(
-            instance, "anneal", result.cost, report, seed, result.trace.points[-1].elapsed
+            instance, "anneal", result.cost, report, seed, result.trace[-1].elapsed
         )
         for seed, result in outcomes
     ]
@@ -183,18 +183,6 @@ def _anneal_task(payload: tuple[Instance, AnnealParams, BoundReport | None]) -> 
     return run_annealing(instance, params, lb=lb)
 
 
-def _run_replicates(
-    instance: Instance,
-    base: AnnealParams,
-    lb: BoundReport | None,
-    seeds: Sequence[int],
-    workers: int,
-) -> list[tuple[int, AnnealResult]]:
-    payloads = [(instance, replace(base, rng_seed=seed), lb) for seed in seeds]
-    results = _map_ordered(_anneal_task, payloads, workers)
-    return sorted(zip(seeds, results), key=lambda pair: pair[0])
-
-
 def _check_counts(args: argparse.Namespace) -> None:
     if args.replicates < 1:
         raise _UsageError("--replicates must be at least 1")
@@ -217,7 +205,8 @@ def _cmd_anneal(args: argparse.Namespace) -> int:
     params = _anneal_params(args)
     seeds = [args.seed + i for i in range(args.replicates)]
     started = time.perf_counter()
-    outcomes = _run_replicates(instance, params, lb, seeds, args.workers)
+    payloads = [(instance, replace(params, rng_seed=seed), lb) for seed in seeds]
+    outcomes = list(zip(seeds, _map_ordered(_anneal_task, payloads, args.workers)))
     elapsed = time.perf_counter() - started
 
     print(f"instance {args.instance}")
@@ -236,7 +225,7 @@ def _cmd_anneal(args: argparse.Namespace) -> int:
     if args.trace:
         lines = ["seed,elapsed_s,objective,proc_time,tardy,setup_cost"]
         for seed, result in outcomes:
-            for point in result.trace.points:
+            for point in result.trace:
                 c = point.cost
                 lines.append(
                     f"{seed},{point.elapsed!r},{c.objective!r},{c.proc_time},{c.tardy},{c.setup_cost}"
@@ -300,23 +289,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _bench_task(payload: tuple[str, AnnealParams, Sequence[int]]) -> list[ResultRow]:
-    """The bounds, greedy and anneal rows of one instance, named by its file name."""
-    path, params, seeds = payload
-    instance = _load_instance(path)
-    name = Path(path).name
-    report = objective_lb(instance)
-    started = time.perf_counter()
-    _, greedy_cost = construct(instance)
-    greedy_elapsed = time.perf_counter() - started
-    outcomes = _run_replicates(instance, params, report, seeds, workers=1)
-    return [
-        _bounds_row(name, report),
-        _solution_row(name, "greedy", greedy_cost, report, None, greedy_elapsed),
-        *_anneal_rows(name, outcomes, report),
-    ]
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     _check_counts(args)
     directory = Path(args.directory)
@@ -327,8 +299,24 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise _UsageError(f"no *.osp instances under {args.directory}")
     params = _anneal_params(args)
     seeds = [args.seed + i for i in range(args.replicates)]
-    payloads = [(path, params, seeds) for path in paths]
-    all_rows = [row for rows in _map_ordered(_bench_task, payloads, args.workers) for row in rows]
+    # bounds and greedy run here; the SA runs of every instance share one pool
+    instances, payloads = [], []
+    for path in paths:
+        instance = _load_instance(path)
+        report = objective_lb(instance)
+        started = time.perf_counter()
+        _, greedy_cost = construct(instance)
+        instances.append((Path(path).name, report, greedy_cost, time.perf_counter() - started))
+        payloads += [(instance, replace(params, rng_seed=seed), report) for seed in seeds]
+    results = iter(_map_ordered(_anneal_task, payloads, args.workers))
+    all_rows = []
+    for name, report, greedy_cost, greedy_elapsed in instances:
+        outcomes = [(seed, next(results)) for seed in seeds]
+        all_rows += [
+            _bounds_row(name, report),
+            _solution_row(name, "greedy", greedy_cost, report, None, greedy_elapsed),
+            *_anneal_rows(name, outcomes, report),
+        ]
     table = write_results(all_rows)
     if args.out:
         Path(args.out).write_text(table, encoding="utf-8")
@@ -371,7 +359,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("anneal", help="run simulated annealing replicates")
     p.add_argument("instance")
     _add_anneal_flags(p)
-    p.add_argument("--trace", help="write best-so-far trace CSV here")
+    p.add_argument("--trace",
+                   help="write a trace CSV here: per seed, the greedy start, each "
+                        "improvement of the best cost and the best cost at the stop")
     p.add_argument("--results", help="write a results CSV here")
     p.set_defaults(func=_cmd_anneal)
 

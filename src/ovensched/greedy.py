@@ -98,7 +98,6 @@ class _MachineState:
 
 
 def _open_batch(
-    instance: Instance,
     state: _MachineState,
     lead: Job,
     now: int,
@@ -202,7 +201,7 @@ def construct(
                     break
             else:
                 continue
-            _open_batch(instance, state, job, now, ready, unscheduled)
+            _open_batch(state, job, now, ready, unscheduled)
             if state.update_limits(instance, now):
                 i = 0  # a zero processing time left the machine free at now
             else:

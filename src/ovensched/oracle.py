@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .bounds import NoFeasiblePlacement, setup_cost_lb, tardy_lb, _normalize_units
 from .model import CostBreakdown, Instance, Machine, ObjectiveWeights, Solution
-from .schedule import BatchSummary, batch_fault, machine_cost, schedule_machine, summarize
+from .schedule import BatchSummary, batch_fault, build_schedule, evaluate, summarize
 
 
 @dataclass(frozen=True)
@@ -316,25 +316,10 @@ def exact_solve(
     if best_layout is None:
         raise Infeasible("no complete feasible schedule exists")
 
-    solution = Solution(
-        tuple(
-            schedule_machine(instance, machine, machine_blocks)
-            for machine, machine_blocks in zip(instance.machines, best_layout)
-        )
-    )
-    proc, tardy, setup = best_components
+    solution = build_schedule(instance, best_layout)
+    cost = evaluate(instance, solution, weights, check=False)
     # the decomposed search and the scheduler must agree
-    rebuilt = [
-        machine_cost(instance, machine, batches)
-        for machine, batches in zip(instance.machines, solution.batches)
-    ]
-    assert (proc, tardy, setup) == tuple(map(sum, zip(*rebuilt)))
-    cost = CostBreakdown(
-        proc_time=proc,
-        tardy=tardy,
-        setup_cost=setup,
-        objective=weights.objective(proc, tardy, setup, instance.n_jobs),
-    )
+    assert best_components == (cost.proc_time, cost.tardy, cost.setup_cost)
     return OracleResult(solution=solution, cost=cost, nodes=search.nodes)
 
 

@@ -13,6 +13,8 @@ from ovensched import (
     CostBreakdown,
     GeneratorConfig,
     InfeasibleBatch,
+    Instance,
+    Job,
     Machine,
     MoveJob,
     MoveJobNewBatch,
@@ -128,7 +130,6 @@ def edited_layout(search, move):
         dict(final_temp=math.inf),
         dict(time_limit=math.nan),
         dict(time_limit=math.inf),
-        dict(trace_period=math.nan),
         dict(move_probs=(0.5, math.nan, 0.2, 0.3)),
         dict(lb_gap_stop=math.nan),
         dict(lb_gap_stop=-5.0),
@@ -224,6 +225,23 @@ def test_no_move_available():
         sample_move(inst, [[], []], random.Random(0))
 
 
+def test_run_without_moves_stops_with_no_moves():
+    # one single-job batch per machine leaves no pair of batches to swap,
+    # the only move kind with a positive probability
+    machines = (Machine(1, 10, 1, ((0, 100),)), Machine(2, 10, 1, ((0, 100),)))
+    jobs = (
+        Job(1, 1, 5, 0, 50, 10, 10, frozenset({1})),
+        Job(2, 1, 5, 0, 50, 10, 10, frozenset({2})),
+    )
+    inst = Instance(machines, jobs, 1, ((0,),), ((0,),))
+    greedy_solution, greedy_cost = construct(inst)
+    assert greedy_solution.layout() == [[[1]], [[2]]]
+    result = run_annealing(inst, AnnealParams(move_probs=(1.0, 0.0, 0.0, 0.0)))
+    assert result.stop_reason == "no_moves"
+    assert result.cost == greedy_cost
+    assert [p.cost for p in result.trace] == [greedy_cost, greedy_cost]
+
+
 def test_run_annealing_improves_example(example):
     lb = objective_lb(example)
     result = run_annealing(example, replace(FAST, rng_seed=7), lb=lb)
@@ -240,7 +258,7 @@ def test_run_annealing_deterministic(example):
     assert a.solution == b.solution
     assert a.cost == b.cost
     assert a.stop_reason == b.stop_reason
-    assert [p.cost for p in a.trace.points] == [p.cost for p in b.trace.points]
+    assert [p.cost for p in a.trace] == [p.cost for p in b.trace]
 
 
 def test_zero_time_limit_returns_greedy(example):
@@ -260,8 +278,8 @@ def test_gap_stop_fires(example):
 
 
 def test_best_objective_non_increasing_in_trace(example):
-    result = run_annealing(example, replace(FAST, rng_seed=13, trace_period=0.0))
-    objectives = [p.cost.objective for p in result.trace.points]
+    result = run_annealing(example, replace(FAST, rng_seed=13))
+    objectives = [p.cost.objective for p in result.trace]
     assert all(a >= b - 1e-15 for a, b in zip(objectives, objectives[1:]))
 
 

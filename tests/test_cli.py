@@ -215,7 +215,7 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
-def test_worker_pool_sizing(monkeypatch):
+def test_worker_pool_sizing(monkeypatch, capsys, tmp_path):
     import concurrent.futures
 
     from ovensched.cli import _build_parser, _map_ordered
@@ -245,6 +245,16 @@ def test_worker_pool_sizing(monkeypatch):
     assert _map_ordered(abs, [-1, -2], workers=8) == [1, 2]  # never more workers than tasks
     assert _map_ordered(abs, [-1], workers=8) == [1]  # a single task runs inline
     assert pool_sizes == [2, 2]
+
+    # bench pools the SA runs of every instance, so one instance with two
+    # seeds fills two workers
+    directory = tmp_path / "instances"
+    directory.mkdir()
+    shutil.copy(EXAMPLE_PATH, directory)
+    code, _, _ = run(capsys, "bench", str(directory), "--replicates", "2", "--workers", "2",
+                     "--moves-per-level", "60")
+    assert code == 0
+    assert pool_sizes == [2, 2, 2]
 
 
 ANNEAL_FLAGS = ("--seed", "7", "--replicates", "2", "--workers", "1", "--moves-per-level", "60")
@@ -286,6 +296,50 @@ def test_results_csv_pinned(capsys, tmp_path):
     assert [values for _, values in rows] == PINNED_RESULT_ROWS
 
 
+# The --trace rows of anneal ANNEAL_FLAGS on the fixture, every column but
+# elapsed_s: the greedy start, each improvement and the stop, per seed.
+PINNED_TRACE_ROWS = [
+    ["7", "0.9928677248677249", "158", "10", "74"],
+    ["7", "0.8976296296296296", "158", "9", "74"],
+    ["7", "0.8056719576719577", "169", "8", "84"],
+    ["7", "0.8054814814814815", "169", "8", "82"],
+    ["7", "0.8052910052910053", "169", "8", "80"],
+    ["7", "0.8025820105820106", "158", "8", "76"],
+    ["7", "0.8023915343915343", "158", "8", "74"],
+    ["7", "0.8022010582010582", "158", "8", "72"],
+    ["7", "0.8022010582010582", "158", "8", "72"],
+    ["8", "0.9928677248677249", "158", "10", "74"],
+    ["8", "0.9009100529100529", "169", "9", "84"],
+    ["8", "0.9007195767195767", "169", "9", "82"],
+    ["8", "0.9005291005291005", "169", "9", "80"],
+    ["8", "0.9003386243386244", "169", "9", "78"],
+    ["8", "0.8978201058201059", "158", "9", "76"],
+    ["8", "0.8976296296296296", "158", "9", "74"],
+    ["8", "0.8052910052910053", "169", "8", "80"],
+    ["8", "0.8023915343915343", "158", "8", "74"],
+    ["8", "0.8022010582010582", "158", "8", "72"],
+    ["8", "0.8022010582010582", "158", "8", "72"],
+]
+
+
+def test_trace_csv_pinned(capsys, tmp_path):
+    trace, results = tmp_path / "trace.csv", tmp_path / "rows.csv"
+    code, _, _ = run(capsys, "anneal", EXAMPLE, *ANNEAL_FLAGS,
+                     "--trace", str(trace), "--results", str(results))
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(trace.read_text()))
+    assert header == ["seed", "elapsed_s", "objective", "proc_time", "tardy", "setup_cost"]
+    assert [[row[0], *row[2:]] for row in rows] == PINNED_TRACE_ROWS
+    for _, values in _result_rows(results):
+        points = [row for row in rows if row[0] == values[-1]]
+        assert len(points) > 2
+        elapsed = [float(row[1]) for row in points]
+        assert elapsed[0] == 0.0 and elapsed == sorted(elapsed)
+        objectives = [float(row[2]) for row in points[:-1]]
+        assert all(a > b for a, b in zip(objectives, objectives[1:]))
+        assert points[-1][2:] == values[1:5]  # the replicate's cost
+
+
 def test_bench_rows_match_the_commands(capsys, tmp_path):
     directory = tmp_path / "instances"
     directory.mkdir()
@@ -296,6 +350,22 @@ def test_bench_rows_match_the_commands(capsys, tmp_path):
     assert out == f"wrote {table} rows 4\n"
     expected = [(EXAMPLE_PATH.name, values) for _, values in _command_rows(capsys, tmp_path)]
     assert _result_rows(table) == expected
+
+
+def test_bench_process_pool_matches_serial(capsys, tmp_path):
+    directory = tmp_path / "instances"
+    directory.mkdir()
+    for name in ("a.osp", "b.osp"):
+        shutil.copy(EXAMPLE_PATH, directory / name)
+    tables = []
+    for workers in ("1", "2"):
+        table = tmp_path / f"bench{workers}.csv"
+        code, _, _ = run(capsys, "bench", str(directory), *ANNEAL_FLAGS, "--workers", workers,
+                         "--out", str(table))
+        assert code == 0
+        tables.append(_result_rows(table))
+    assert len(tables[0]) == 8
+    assert tables[1] == tables[0]
 
 
 # sha256 of the instance and of the --save-config file that generate writes
