@@ -256,18 +256,18 @@ State = tuple[int, int, int, int, int]
 
 
 class _Row(NamedTuple):
-    """One machine row of the search: its batches, their summaries, its schedule.
+    """Machine row m of the search: summaries and schedule of _Search.layout[m].
 
-    states[i] is the (attribute, end, processing time, tardy jobs, setup cost)
-    entry of batch i - 1; states[0] is the machine's initial attribute at
-    time 0 with no cost. cost sums the last three fields over the row.
-    ranges[i] is (earliest, latest, low, high): batch i slides to any end
-    in [earliest, latest] at unchanged cost, and batches i, i + 1, ... all
-    slide by one offset when batch i - 1 ends anywhere in [low, high] (see
-    the module docstring).
+    summaries[i] is the summary of batch i. states[i] is the (attribute,
+    end, processing time, tardy jobs, setup cost) entry of batch i - 1;
+    states[0] is the machine's initial attribute at time 0 with no cost, so
+    the row holds len(states) - 1 batches. cost sums the last three fields
+    over the row. ranges[i] is (earliest, latest, low, high): batch i slides
+    to any end in [earliest, latest] at unchanged cost, and batches i,
+    i + 1, ... all slide by one offset when batch i - 1 ends anywhere in
+    [low, high] (see the module docstring).
     """
 
-    batches: list[list[int]]
     summaries: list[BatchSummary]
     states: list[State]
     cost: tuple[int, int, int]
@@ -275,20 +275,24 @@ class _Row(NamedTuple):
 
 
 class _RowEdit:
-    """A copy of one machine row under edit, with the span that changed.
+    """A copy of one machine row's batches under edit, with the span that
+    changed, the old _Row, and the new schedule once _reschedule has run.
 
-    summaries[i] is the summary of row[i]. Invariant: row[:start] is
-    old[:start] and row[stop:] is old[stop - shift:], batch by batch, where
-    shift = len(row) - len(old). Batches are never changed in place, so
-    unchanged ones are shared with the old row.
+    summaries[i] is the summary of row[i]. Invariant: row[:start] is the
+    old batches[:start] and row[stop:] is the old batches[stop - shift:],
+    batch by batch, where shift = len(row) - (len(old.states) - 1). Batches
+    are never changed in place, so unchanged ones are shared with the old
+    row. _reschedule sets states, which runs up to the rejoin, and cost;
+    the old batches from index resume on follow, each ending slide later.
     """
 
-    __slots__ = ("row", "summaries", "start", "stop")
+    __slots__ = ("old", "row", "summaries", "start", "stop", "states", "cost", "resume", "slide")
 
-    def __init__(self, old: _Row):
-        self.row = list(old.batches)
+    def __init__(self, old: _Row, batches: list[list[int]]):
+        self.old = old
+        self.row = list(batches)
         self.summaries = list(old.summaries)
-        self.start = len(old.batches)
+        self.start = len(batches)
         self.stop = 0
 
     def replace(self, b: int, batch: list[int], summary: BatchSummary) -> None:
@@ -324,46 +328,25 @@ class _RowEdit:
             self.delete(b)
 
 
-class _Candidate(NamedTuple):
-    """A row as a move would leave it, before _Search.accept takes it.
-
-    batches and summaries are the whole new row; they differ from the old
-    row's only from `start` on. states runs up to the rejoin; the old row's
-    batches from old index resume on follow, each ending `slide` time units
-    later.
-    """
-
-    old: _Row
-    batches: list[list[int]]
-    summaries: list[BatchSummary]
-    states: list[State]
-    cost: tuple[int, int, int]
-    start: int
-    resume: int
-    slide: int
-
-
-def _reschedule(
-    instance: Instance, machine: Machine, old: _Row, edit: _RowEdit
-) -> _Candidate | None:
-    """The row an edit leaves, or None when one of its batches cannot be placed.
+def _reschedule(instance: Instance, machine: Machine, edit: _RowEdit) -> bool:
+    """Schedule an edit's row onto the edit; False when a batch cannot be placed.
 
     The edit's batches already obey the batch rules. Scheduling starts at
     edit.start from the old state there and stops as soon as the row
     reaches the old row's unchanged tail in the same attribute, at an end
     the tail slides with.
     """
-    batches, summaries, start, stop = edit.row, edit.summaries, edit.start, edit.stop
-    shift = len(batches) - len(old.batches)
+    old, summaries, start, stop = edit.old, edit.summaries, edit.start, edit.stop
     states, ranges = old.states, old.ranges
+    resume, slide = len(states) - 1, 0
+    shift = len(summaries) - resume
     setup_times = instance.setup_times
     setup_costs = instance.setup_costs
     earliest_start = machine.earliest_start
     attribute, end = states[start][:2]
     proc, tardy, setup = old.cost
     new_states = states[: start + 1]
-    resume, slide = len(old.batches), 0
-    for i in range(start, len(batches)):
+    for i in range(start, len(summaries)):
         if i >= stop:
             j = i - shift
             reach = ranges[j]
@@ -374,7 +357,7 @@ def _reschedule(
         setup_time = setup_times[attribute - 1][summary.attribute - 1]
         begin = earliest_start(max(summary.release, end + setup_time), setup_time, summary.proc)
         if begin is None:
-            return None
+            return False
         end = begin + summary.proc
         late = bisect_left(summary.dues, end)
         cost = setup_costs[attribute - 1][summary.attribute - 1]
@@ -387,13 +370,13 @@ def _reschedule(
         proc -= p
         tardy -= t
         setup -= s
-    return _Candidate(
-        old, batches, summaries, new_states, (proc, tardy, setup), start, resume, slide
-    )
+    edit.states, edit.cost = new_states, (proc, tardy, setup)
+    edit.resume, edit.slide = resume, slide
+    return True
 
 
-def _materialize(instance: Instance, machine: Machine, candidate: _Candidate) -> _Row:
-    """The row a candidate stands for, with the slid tail and the ranges written.
+def _materialize(instance: Instance, machine: Machine, edit: _RowEdit) -> _Row:
+    """The row a rescheduled edit stands for, with the slid tail and ranges written.
 
     Walks back from the old tail, which keeps its ranges as they are
     absolute. A batch the move placed gets its own range of ends: its own
@@ -403,9 +386,10 @@ def _materialize(instance: Instance, machine: Machine, candidate: _Candidate) ->
     next position's, moved back by the batch's distance to its
     predecessor's end. Before the placed batches, the walk stops at the
     first position whose range comes out as before; the positions below it
-    keep theirs.
+    keep theirs. The edit is read, not changed.
     """
-    old, batches, summaries, head, cost, start, resume, slide = candidate
+    old, summaries, head, start = edit.old, edit.summaries, edit.states, edit.start
+    resume, slide = edit.resume, edit.slide
     placed = len(head) - 1
     tail = old.states[resume + 1 :]
     if slide:
@@ -443,16 +427,17 @@ def _materialize(instance: Instance, machine: Machine, candidate: _Candidate) ->
             break
         ranges[k] = earliest, latest, low, high
         end = prev_end
-    return _Row(batches, summaries, states, cost, ranges)
+    return _Row(summaries, states, edit.cost, ranges)
 
 
 class _Search:
     """The annealer's current layout, evaluated incrementally.
 
-    Each machine row keeps its batch summaries and per-position schedule
-    state (_Row), so a move is costed by rescheduling only the changed part
-    of the rows it edits. totals are the (processing time, tardy jobs,
-    setup cost) of the whole layout; row_jobs[m] counts row m's jobs.
+    layout[m] holds machine row m's batches and rows[m] their summaries and
+    per-position schedule state (_Row), so a move is costed by rescheduling
+    only the changed part of the rows it edits. totals are the (processing
+    time, tardy jobs, setup cost) of the whole layout; row_jobs[m] counts
+    row m's jobs.
     """
 
     def __init__(self, instance: Instance, layout: Layout):
@@ -460,17 +445,15 @@ class _Search:
         self.layout: list[list[list[int]]] = [list(row) for row in layout]
         self.rows: list[_Row] = []
         for machine, row in zip(instance.machines, self.layout):
-            empty = _Row([], [], [(machine.initial_attribute, 0, 0, 0, 0)], (0, 0, 0), [])
-            edit = _RowEdit(empty)
+            edit = _RowEdit(_Row([], [(machine.initial_attribute, 0, 0, 0, 0)], (0, 0, 0), []), [])
             for batch in row:
                 summary = summarize(instance, batch)
                 if batch_fault(instance, machine, batch, summary) is not None:
                     raise ValueError(f"machine {machine.id} row cannot be scheduled")
                 edit.insert(len(edit.row), batch, summary)
-            scheduled = _reschedule(instance, machine, empty, edit)
-            if scheduled is None:
+            if not _reschedule(instance, machine, edit):
                 raise ValueError(f"machine {machine.id} row cannot be scheduled")
-            self.rows.append(_materialize(instance, machine, scheduled))
+            self.rows.append(_materialize(instance, machine, edit))
         self.totals = tuple(map(sum, zip(*(r.cost for r in self.rows))))
         self.row_of = {j: m for m, row in enumerate(self.layout) for b in row for j in b}
         self.row_jobs = [sum(map(len, row)) for row in self.layout]
@@ -489,7 +472,7 @@ class _Search:
 
         def edit(m: int) -> _RowEdit:
             if m not in edits:
-                edits[m] = _RowEdit(self.rows[m])
+                edits[m] = _RowEdit(self.rows[m], self.layout[m])
             return edits[m]
 
         if isinstance(move, SwapBatches):
@@ -519,34 +502,26 @@ class _Search:
             row.insert(min(move.position, len(row.row)), batch, summary)
         return edits
 
-    def evaluate(
-        self, move: Move
-    ) -> tuple[dict[int, _Candidate], tuple[int, int, int]] | None:
-        """(candidate rows by machine index, new totals) of a move; None when infeasible."""
+    def evaluate(self, move: Move) -> tuple[dict[int, _RowEdit], tuple[int, int, int]] | None:
+        """(rescheduled edits by machine index, new totals) of a move; None when infeasible."""
         edits = self.edit_rows(move)
         if edits is None:
             return None
         proc, tardy, setup = self.totals
-        rows = {}
         for m, edit in edits.items():
-            old = self.rows[m]
-            row = _reschedule(self.instance, self.instance.machines[m], old, edit)
-            if row is None:
+            if not _reschedule(self.instance, self.instance.machines[m], edit):
                 return None
-            proc += row.cost[0] - old.cost[0]
-            tardy += row.cost[1] - old.cost[1]
-            setup += row.cost[2] - old.cost[2]
-            rows[m] = row
-        return rows, (proc, tardy, setup)
+            old, new = edit.old.cost, edit.cost
+            proc += new[0] - old[0]
+            tardy += new[1] - old[1]
+            setup += new[2] - old[2]
+        return edits, (proc, tardy, setup)
 
-    def accept(
-        self, move: Move, rows: dict[int, _Candidate], totals: tuple[int, int, int]
-    ) -> None:
-        """Take an evaluated move: its candidate rows become the current ones."""
-        for m, candidate in rows.items():
-            row = _materialize(self.instance, self.instance.machines[m], candidate)
-            self.rows[m] = row
-            self.layout[m] = row.batches
+    def accept(self, move: Move, edits: dict[int, _RowEdit], totals: tuple[int, int, int]) -> None:
+        """Take an evaluated move: each edit's batches and materialized row become current."""
+        for m, edit in edits.items():
+            self.rows[m] = _materialize(self.instance, self.instance.machines[m], edit)
+            self.layout[m] = edit.row
         if isinstance(move, (MoveJob, MoveJobNewBatch)):
             self.row_jobs[self.row_of[move.job]] -= 1
             self.row_jobs[move.machine] += 1
@@ -621,8 +596,8 @@ def run_annealing(
         outcome = search.evaluate(move)
         if outcome is None:
             return None
-        rows, totals = outcome
-        return move, rows, totals, weights.objective(*totals, instance.n_jobs)
+        edits, totals = outcome
+        return move, edits, totals, weights.objective(*totals, instance.n_jobs)
 
     try:
         # warm-up: average |delta| of random moves around the start solution
@@ -649,10 +624,10 @@ def run_annealing(
                 outcome = try_move()
                 if outcome is None:
                     continue
-                move, rows, totals, new_obj = outcome
+                move, edits, totals, new_obj = outcome
                 delta = new_obj - current_obj
                 if delta <= 0 or rng.random() < math.exp(-delta / temperature):
-                    search.accept(move, rows, totals)
+                    search.accept(move, edits, totals)
                     current_obj = new_obj
                     if new_obj < best_cost.objective:
                         best_layout = list(search.layout)

@@ -114,12 +114,24 @@ def _int(token: str, signed: bool = True) -> int:
     return int(token)
 
 
-def _int_field(tokens: list[str], key: str, line_no: int) -> int:
-    try:
-        idx = tokens.index(key)
-        return _int(tokens[idx + 1])
-    except (ValueError, IndexError):
-        raise ParseError(line_no, f"'{key} <integer>'") from None
+def _int_fields(tokens: list[str], keys: tuple[str, ...], line_no: int) -> list[int]:
+    """The values of '<key> <integer>' pairs, in the order of keys. Each key
+    must appear exactly once, in any order, and no other key may appear."""
+    values: dict[str, int] = {}
+    for i in range(0, len(tokens), 2):
+        key = tokens[i]
+        if key not in keys:
+            raise ParseError(line_no, f"one of {', '.join(keys)}, got '{key}'")
+        if key in values:
+            raise ParseError(line_no, f"'{key}' once")
+        try:
+            values[key] = _int(tokens[i + 1])
+        except (ValueError, IndexError):
+            raise ParseError(line_no, f"'{key} <integer>'") from None
+    missing = [key for key in keys if key not in values]
+    if missing:
+        raise ParseError(line_no, f"'{missing[0]} <integer>'")
+    return [values[key] for key in keys]
 
 
 def parse_instance(text: str) -> Instance:
@@ -173,12 +185,11 @@ def parse_instance(text: str) -> Instance:
             machine_id = _int(tokens[1])
         except (IndexError, ValueError):
             raise ParseError(no, "'machine <id> ...'") from None
-        capacity = _int_field(tokens, "capacity", no)
-        initial = _int_field(tokens, "initial-attribute", no)
         try:
             w_idx = tokens.index("windows")
         except ValueError:
             raise ParseError(no, "'windows <start>..<end> ...'") from None
+        capacity, initial = _int_fields(tokens[2:w_idx], ("capacity", "initial-attribute"), no)
         windows = []
         for token in tokens[w_idx + 1 :]:
             parts = token.split("..")
@@ -200,16 +211,13 @@ def parse_instance(text: str) -> Instance:
             job_id = _int(tokens[1])
         except (IndexError, ValueError):
             raise ParseError(no, "'job <id> ...'") from None
-        attribute = _int_field(tokens, "attribute", no)
-        size = _int_field(tokens, "size", no)
-        release = _int_field(tokens, "release", no)
-        due = _int_field(tokens, "due", no)
-        min_time = _int_field(tokens, "min-time", no)
-        max_time = _int_field(tokens, "max-time", no)
         try:
             e_idx = tokens.index("eligible")
         except ValueError:
             raise ParseError(no, "'eligible <machine ids>'") from None
+        attribute, size, release, due, min_time, max_time = _int_fields(
+            tokens[2:e_idx], ("attribute", "size", "release", "due", "min-time", "max-time"), no
+        )
         try:
             eligible = frozenset(_int(t) for t in tokens[e_idx + 1 :])
         except ValueError:
@@ -278,15 +286,17 @@ def parse_solution(text: str, instance: Instance) -> Solution:
         elif tokens[0] == "batch":
             if current is None:
                 raise ParseError(no, "'machine <id>' before any batch")
-            start = _int_field(tokens, "start", no)
-            processing = _int_field(tokens, "processing", no)
             try:
                 j_idx = tokens.index("jobs")
-                job_ids = frozenset(_int(t) for t in tokens[j_idx + 1 :])
+                listed = [_int(t) for t in tokens[j_idx + 1 :]]
             except ValueError:
                 raise ParseError(no, "'jobs <job ids>'") from None
+            start, processing = _int_fields(tokens[1:j_idx], ("start", "processing"), no)
+            job_ids = frozenset(listed)
             if not job_ids:
                 raise ParseError(no, "'jobs <job ids>' with at least one id")
+            if len(job_ids) != len(listed):
+                raise ParseError(no, "'jobs <job ids>' with no id repeated")
             unknown = sorted(j for j in job_ids if not instance.has_job(j))
             if unknown:
                 raise ParseError(no, f"job ids of the instance, got {unknown}")
@@ -367,11 +377,26 @@ class GeneratorConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "GeneratorConfig":
+        """The config of a to_json text; ValueError unless it is a JSON object
+        of known fields, n_jobs among them, each with a value of its type."""
         data = json.loads(text)
-        for key, value in list(data.items()):
-            if isinstance(value, list):
-                data[key] = tuple(value)
-        return cls(**data)
+        if not isinstance(data, dict):
+            raise ValueError("generator config must be a JSON object")
+        types = {f.name: f.type for f in fields(cls)}
+        if "n_jobs" not in data:
+            raise ValueError("generator config lacks n_jobs")
+        for key, value in data.items():
+            if key not in types:
+                raise ValueError(f"generator config has an unknown field: {key!r}")
+            if types[key] == "float":
+                ok = type(value) in (int, float)
+            elif types[key] == "int":
+                ok = type(value) is int
+            else:
+                ok = type(value) is list and len(value) == 2 and all(type(v) is int for v in value)
+            if not ok:
+                raise ValueError(f"generator config field {key} is {types[key]}, got {value!r}")
+        return cls(**{key: tuple(v) if type(v) is list else v for key, v in data.items()})
 
 
 def generate_instance(config: GeneratorConfig) -> Instance:

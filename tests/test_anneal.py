@@ -341,15 +341,15 @@ def _slid(states, offset):
     return [(a, end + offset, p, t, s) for a, end, p, t, s in states]
 
 
-def _slide_fault(instance, machine, row, j, end):
+def _slide_fault(instance, machine, row, batches, j, end):
     """Why the row's batches from j do not all slide when batch j - 1 ends at
     `end` instead; None when they do."""
     offset = end - row.states[j][1]
     if offset == 0:
         return None
-    for k in range(j, len(row.batches)):
+    for k in range(j, len(batches)):
         (prev_attribute, prev_end, *_), (attribute, old_end, proc, *_) = row.states[k : k + 2]
-        jobs = [instance.job(i) for i in row.batches[k]]
+        jobs = [instance.job(i) for i in batches[k]]
         setup = instance.setup_time(prev_attribute, attribute)
         begin = old_end - proc
         if begin != prev_end + setup:
@@ -367,22 +367,22 @@ def _slide_fault(instance, machine, row, j, end):
     return None
 
 
-def _check_row_ranges(instance, machine, row):
+def _check_row_ranges(instance, machine, row, batches):
     """Every position's range of predecessor ends is exact: at both ends the
     row's tail slides by the offset, one step outside it does not."""
-    for j in range(len(row.batches)):
+    for j in range(len(batches)):
         attribute, end = row.states[j][:2]
         tail = row.states[j + 1 :]
         low, high = row.ranges[j][2:]
         for x, slides in ((low, True), (high, True), (low - 1, False), (high + 1, False)):
-            moved = _reference_tail(instance, machine, row.batches[j:], attribute, x)
+            moved = _reference_tail(instance, machine, batches[j:], attribute, x)
             assert (moved == _slid(tail, x - end)) == slides, (j, x)
 
 
 def _walk(instance, walk_seed, moves, events):
     """Random moves on a _Search, each checked against full rescheduling.
 
-    Every feasible candidate is materialized as accept would do it and
+    Every feasible row edit is materialized as accept would do it and
     compared with schedule_machine/machine_cost; every position where the
     rescheduling passed the old tail is checked against _slide_fault. After
     each accept every row must equal a rebuild from scratch, and the ranges
@@ -411,37 +411,39 @@ def _walk(instance, walk_seed, moves, events):
             assert outcome is None
             continue
         assert outcome is not None
-        candidates, totals = outcome
-        assert sorted(candidates) == changed
-        edits = search.edit_rows(move)
+        edits, totals = outcome
+        assert sorted(edits) == changed
         for m, batches in rebuilt.items():
             machine = instance.machines[m]
-            old, candidate, edit = search.rows[m], candidates[m], edits[m]
-            row = _materialize(instance, machine, candidate)
-            assert row.batches == new_layout[m]
+            old, edit = search.rows[m], edits[m]
+            row = _materialize(instance, machine, edit)
+            assert edit.old is old
+            assert edit.row == new_layout[m]
             assert [state[1] for state in row.states[1:]] == [b.end for b in batches]
             assert row.cost == machine_cost(instance, machine, batches)
-            shift = len(row.batches) - len(old.batches)
-            rejoin = len(candidate.states) - 1
+            shift = len(edit.row) - len(search.layout[m])
+            rejoin = len(edit.states) - 1
             for i in range(edit.stop, rejoin + 1):
-                if i == len(row.batches) or candidate.states[i][0] != old.states[i - shift][0]:
+                if i == len(edit.row) or edit.states[i][0] != old.states[i - shift][0]:
                     continue
-                fault = _slide_fault(instance, machine, old, i - shift, candidate.states[i][1])
+                fault = _slide_fault(
+                    instance, machine, old, search.layout[m], i - shift, edit.states[i][1]
+                )
                 if i < rejoin:
                     assert fault is not None
                     events[fault] += 1
                 else:
                     assert fault is None
-                    events[("rejoin", (candidate.slide > 0) - (candidate.slide < 0))] += 1
+                    events[("rejoin", (edit.slide > 0) - (edit.slide < 0))] += 1
         if rng.random() < 0.5:
-            search.accept(move, candidates, totals)
+            search.accept(move, edits, totals)
             full = evaluate(instance, build_schedule(instance, search.layout), weights, check=True)
             assert totals == (full.proc_time, full.tardy, full.setup_cost)
             fresh = _Search(instance, search.layout)
             assert search.rows == fresh.rows
             assert search.row_jobs == fresh.row_jobs
             for m in changed:
-                _check_row_ranges(instance, instance.machines[m], search.rows[m])
+                _check_row_ranges(instance, instance.machines[m], search.rows[m], search.layout[m])
 
 
 @settings(max_examples=60, deadline=None)

@@ -166,6 +166,11 @@ def test_usage_errors(capsys, tmp_path):
     assert run(capsys, "bounds")[0] == 1  # missing positional
     assert run(capsys, "bench", str(tmp_path))[0] == 1  # empty directory
     assert run(capsys, "generate", "-o", str(tmp_path / "x"))[0] == 1  # no --n
+    config = tmp_path / "config.json"
+    config.write_text('{"n_jobs": 5, "bogus": 1}')
+    code, _, err = run(capsys, "generate", "--config", str(config), "-o", str(tmp_path / "x"))
+    assert code == 1
+    assert "error: " in err and "bogus" in err
 
 
 def test_anneal_rejects_params_that_switch_the_search_off(capsys):
@@ -188,8 +193,13 @@ def test_anneal_rejects_params_that_switch_the_search_off(capsys):
         assert "must be" in err
 
 
-def test_missing_file_is_usage_error(capsys):
+def test_missing_file_is_usage_error(capsys, tmp_path):
     assert run(capsys, "bounds", "no-such-file.osp")[0] == 1
+    # a directory where a file is read, and where one is written
+    for argv in (["bounds", str(FIXTURES)], ["bounds", EXAMPLE, "--results", str(tmp_path)]):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.splitlines()[-1].startswith("error: ")
 
 
 def test_bad_instance_exits_2(capsys, tmp_path):
@@ -203,6 +213,8 @@ def test_bad_instance_exits_2(capsys, tmp_path):
         no_jobs.replace("jobs 10", "jobs -3"),
         good.replace("capacity 18", "capacity 1_8"),
         good.replace("release 2 ", "release +2 "),
+        good.replace("job 1 attribute 2", "job 1 attribute 1 attribute 2"),
+        good.replace("capacity 18 ", "capacity 18 colour 3 "),
     ):
         bad.write_text(text)
         code, _, err = run(capsys, "bounds", str(bad))

@@ -51,6 +51,10 @@ def test_solution_round_trip(example):
     for line, bad in (("machine 2", "machine +2"), ("jobs ", "jobs +"), ("start ", "start 0_")):
         with pytest.raises(ParseError):
             parse_solution(text.replace(line, bad, 1), example)
+    # a job listed twice in a batch is not read as listed once
+    first = next(line for line in text.splitlines() if line.startswith("batch "))
+    with pytest.raises(ParseError, match="repeated"):
+        parse_solution(text.replace(first, f"{first} {first.split()[-1]}", 1), example)
 
 
 def test_parse_errors():
@@ -88,6 +92,17 @@ def test_parse_errors():
         assert good.count(line) == 1
         with pytest.raises(ParseError):
             parse_instance(good.replace(line, bad))
+    # each key of a machine or job line exactly once, in any order, and no
+    # other key: the first would otherwise read as attribute 1
+    for line, bad, message in (
+        ("job 1 attribute 2", "job 1 attribute 1 attribute 2", "'attribute' once"),
+        ("capacity 18 ", "capacity 18 colour 3 ", "got 'colour'"),
+    ):
+        with pytest.raises(ParseError, match=message):
+            parse_instance(good.replace(line, bad, 1))
+    reordered = good.replace("attribute 2 size 18 release 2", "release 2 size 18 attribute 2")
+    assert reordered != good
+    assert parse_instance(reordered) == parse_instance(good)
 
 
 def test_parse_error_carries_location():
@@ -137,6 +152,18 @@ def test_generator_config_validation():
         GeneratorConfig(n_jobs=5, size_range=(3, 2))
     with pytest.raises(ValueError):
         GeneratorConfig(n_jobs=5, eligibility_density=0.0)
+    # a config file names known fields, n_jobs among them, with values of
+    # their types
+    for text, message in (
+        ('{"n_jobs": 5, "bogus": 1}', "bogus"),
+        ('{"n_machines": 3}', "n_jobs"),
+        ('{"n_jobs": "5"}', "n_jobs"),
+        ("[1, 2]", "object"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            GeneratorConfig.from_json(text)
+    config = GeneratorConfig(n_jobs=7, seed=3, size_range=(2, 4), eligibility_density=0.5)
+    assert GeneratorConfig.from_json(config.to_json()) == config
 
 
 def test_write_results_shapes():
