@@ -34,7 +34,6 @@ from .bounds import (
     tardy_lb,
 )
 from .fileio import (
-    GenerationRetryExceeded,
     GeneratorConfig,
     ParseError,
     ResultRow,

@@ -2,7 +2,7 @@
 
 Subcommands: bounds, greedy, anneal, oracle, evaluate, generate, bench.
 Exit codes: 0 success, 1 usage error, 2 instance/solution infeasibility,
-3 exhausted budgets. Timing goes to stderr so stdout stays byte-identical
+3 exhausted search budget. Timing goes to stderr so stdout stays byte-identical
 across repeated runs of deterministic commands.
 """
 
@@ -19,7 +19,6 @@ from typing import Callable, Sequence
 from .anneal import AnnealParams, AnnealResult, run_annealing
 from .bounds import BoundReport, NoFeasiblePlacement, objective_lb
 from .fileio import (
-    GenerationRetryExceeded,
     GeneratorConfig,
     ParseError,
     ResultRow,
@@ -421,7 +420,7 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
             Infeasible, Unschedulable, NoFeasiblePlacement) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (BudgetExceeded, GenerationRetryExceeded) as exc:
+    except BudgetExceeded as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

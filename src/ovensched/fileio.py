@@ -72,22 +72,16 @@ class ValidationError(Exception):
         super().__init__("; ".join(str(v) for v in violations))
 
 
-class GenerationRetryExceeded(Exception):
-    """The generator could not produce a valid instance within its retries."""
-
-
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    lines = []
-    for no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped and not stripped.startswith("#"):
-            lines.append((no, stripped))
-    return lines
-
-
 class _LineReader:
+    """The content lines of a document with their 1-based numbers; blank
+    lines and '#' comments are skipped."""
+
     def __init__(self, text: str):
-        self.lines = _content_lines(text)
+        stripped = (raw.strip() for raw in text.splitlines())
+        self.lines = [
+            (no, line) for no, line in enumerate(stripped, start=1)
+            if line and not line.startswith("#")
+        ]
         self.pos = 0
 
     def next(self, expected: str) -> tuple[int, str]:
@@ -134,6 +128,50 @@ def _int_fields(tokens: list[str], keys: tuple[str, ...], line_no: int) -> list[
     return [values[key] for key in keys]
 
 
+def _record(
+    line_no: int, line: str, kind: str, keys: tuple[str, ...], list_word: str, numbered: bool = True
+) -> tuple[int | None, list[int], list[str]]:
+    """Read a '<kind> <id> <key> <integer> ... <list_word> <token> ...' line.
+
+    Returns the id (None on a line that is not numbered, as batch lines
+    are), the integers of keys in their order (see _int_fields) and the
+    tokens after list_word.
+    """
+    tokens = line.split()
+    head = 2 if numbered else 1
+    try:
+        if tokens[0] != kind:
+            raise ValueError(line)
+        record_id = _int(tokens[1]) if numbered else None
+    except (IndexError, ValueError):
+        raise ParseError(line_no, f"'{kind} <id> ...'" if numbered else f"'{kind} ...'") from None
+    try:
+        end = tokens.index(list_word, head)
+    except ValueError:
+        raise ParseError(line_no, f"'{list_word} ...'") from None
+    return record_id, _int_fields(tokens[head:end], keys, line_no), tokens[end + 1 :]
+
+
+def _ids(tokens: list[str], form: str, line_no: int) -> frozenset[int]:
+    """The integer ids of a list in which no id repeats."""
+    try:
+        ids = [_int(t) for t in tokens]
+    except ValueError:
+        raise ParseError(line_no, form) from None
+    unique = frozenset(ids)
+    if len(unique) != len(ids):
+        raise ParseError(line_no, f"{form} with no id repeated")
+    return unique
+
+
+def _checked(instance: Instance) -> Instance:
+    """The instance itself; ValidationError if it breaks a structural invariant."""
+    problems = errors_only(validate_instance(instance))
+    if problems:
+        raise ValidationError(problems)
+    return instance
+
+
 def parse_instance(text: str) -> Instance:
     """Parse and validate an instance document.
 
@@ -178,67 +216,31 @@ def parse_instance(text: str) -> Instance:
     machines = []
     for i in range(counts["machines"]):
         no, line = reader.next(f"'machine {i + 1} ...'")
-        tokens = line.split()
-        if tokens[:1] != ["machine"]:
-            raise ParseError(no, "'machine <id> capacity <c> initial-attribute <a> windows ...'")
-        try:
-            machine_id = _int(tokens[1])
-        except (IndexError, ValueError):
-            raise ParseError(no, "'machine <id> ...'") from None
-        try:
-            w_idx = tokens.index("windows")
-        except ValueError:
-            raise ParseError(no, "'windows <start>..<end> ...'") from None
-        capacity, initial = _int_fields(tokens[2:w_idx], ("capacity", "initial-attribute"), no)
+        machine_id, (capacity, initial), listed = _record(
+            no, line, "machine", ("capacity", "initial-attribute"), "windows"
+        )
         windows = []
-        for token in tokens[w_idx + 1 :]:
-            parts = token.split("..")
-            if len(parts) != 2:
-                raise ParseError(no, f"window '<start>..<end>', got '{token}'")
+        for token in listed:
             try:
-                windows.append((_int(parts[0]), _int(parts[1])))
+                start, end = token.split("..")
+                windows.append((_int(start), _int(end)))
             except ValueError:
                 raise ParseError(no, f"window '<start>..<end>', got '{token}'") from None
         machines.append(Machine(machine_id, capacity, initial, tuple(windows)))
 
     jobs = []
+    keys = ("attribute", "size", "release", "due", "min-time", "max-time")
     for i in range(counts["jobs"]):
         no, line = reader.next(f"'job {i + 1} ...'")
-        tokens = line.split()
-        if tokens[:1] != ["job"]:
-            raise ParseError(no, "'job <id> attribute <a> size <s> ...'")
-        try:
-            job_id = _int(tokens[1])
-        except (IndexError, ValueError):
-            raise ParseError(no, "'job <id> ...'") from None
-        try:
-            e_idx = tokens.index("eligible")
-        except ValueError:
-            raise ParseError(no, "'eligible <machine ids>'") from None
-        attribute, size, release, due, min_time, max_time = _int_fields(
-            tokens[2:e_idx], ("attribute", "size", "release", "due", "min-time", "max-time"), no
-        )
-        try:
-            eligible = frozenset(_int(t) for t in tokens[e_idx + 1 :])
-        except ValueError:
-            raise ParseError(no, "'eligible <machine ids>'") from None
-        jobs.append(Job(job_id, attribute, size, release, due, min_time, max_time, eligible))
+        job_id, values, listed = _record(no, line, "job", keys, "eligible")
+        eligible = _ids(listed, "'eligible <machine ids>'", no)
+        jobs.append(Job(job_id, *values, eligible))
 
     if not reader.done:
         no, line = reader.next("")
         raise ParseError(no, "end of document")
 
-    instance = Instance(
-        machines=tuple(machines),
-        jobs=tuple(jobs),
-        attribute_count=counts["attributes"],
-        setup_times=tuple(tuple(r) for r in setup_times),
-        setup_costs=tuple(tuple(r) for r in setup_costs),
-    )
-    problems = errors_only(validate_instance(instance))
-    if problems:
-        raise ValidationError(problems)
-    return instance
+    return _checked(Instance(machines, jobs, counts["attributes"], setup_times, setup_costs))
 
 
 def write_instance(instance: Instance) -> str:
@@ -286,17 +288,12 @@ def parse_solution(text: str, instance: Instance) -> Solution:
         elif tokens[0] == "batch":
             if current is None:
                 raise ParseError(no, "'machine <id>' before any batch")
-            try:
-                j_idx = tokens.index("jobs")
-                listed = [_int(t) for t in tokens[j_idx + 1 :]]
-            except ValueError:
-                raise ParseError(no, "'jobs <job ids>'") from None
-            start, processing = _int_fields(tokens[1:j_idx], ("start", "processing"), no)
-            job_ids = frozenset(listed)
+            _, (start, processing), listed = _record(
+                no, line, "batch", ("start", "processing"), "jobs", numbered=False
+            )
+            job_ids = _ids(listed, "'jobs <job ids>'", no)
             if not job_ids:
                 raise ParseError(no, "'jobs <job ids>' with at least one id")
-            if len(job_ids) != len(listed):
-                raise ParseError(no, "'jobs <job ids>' with no id repeated")
             unknown = sorted(j for j in job_ids if not instance.has_job(j))
             if unknown:
                 raise ParseError(no, f"job ids of the instance, got {unknown}")
@@ -308,7 +305,7 @@ def parse_solution(text: str, instance: Instance) -> Solution:
             reader.lines[-1][0] if reader.lines else 1,
             f"{instance.n_machines} machine sections, got {len(rows)}",
         )
-    return Solution(tuple(tuple(r) for r in rows))
+    return Solution(rows)
 
 
 def write_solution(solution: Solution) -> str:
@@ -325,11 +322,9 @@ def write_solution(solution: Solution) -> str:
 class GeneratorConfig:
     """Dimensions, value ranges and the seed of the random instance generator.
 
-    All ranges are inclusive (lo, hi) integer pairs. eligibility_density is
-    the probability of each (job, machine) pair being eligible; empty draws
-    are repeated. The last availability window of every machine is extended
-    far enough that any job can always be scheduled eventually, which keeps
-    every seed's instance valid.
+    All ranges are inclusive (lo, hi) integer pairs, each starting at or
+    above its floor in _FLOORS. eligibility_density is the probability of
+    each (job, machine) pair being eligible; empty draws are repeated.
     """
 
     n_jobs: int
@@ -348,25 +343,32 @@ class GeneratorConfig:
     setup_time_range: tuple[int, int] = (0, 20)
     setup_cost_range: tuple[int, int] = (0, 20)
     eligibility_density: float = 0.75
-    max_retries: int = 50
+
+    # The least value of each range. Within these floors every draw of
+    # generate_instance is a valid instance: sizes are clipped to an eligible
+    # capacity, windows come out sorted and disjoint, and the stretched last
+    # window fits every job after its smallest setup.
+    _FLOORS = {
+        "size_range": 1,
+        "capacity_range": 1,
+        "min_time_range": 1,
+        "window_count_range": 1,
+        "extra_time_range": 0,
+        "release_range": 0,
+        "due_slack_range": 0,
+        "window_length_range": 0,
+        "window_gap_range": 0,
+        "setup_time_range": 0,
+        "setup_cost_range": 0,
+    }
 
     def __post_init__(self) -> None:
         if min(self.n_jobs, self.n_machines, self.n_attributes) < 1:
             raise ValueError("dimensions must be positive")
-        for name in (
-            "size_range",
-            "capacity_range",
-            "min_time_range",
-            "extra_time_range",
-            "release_range",
-            "due_slack_range",
-            "window_count_range",
-            "window_length_range",
-            "window_gap_range",
-            "setup_time_range",
-            "setup_cost_range",
-        ):
+        for name, floor in self._FLOORS.items():
             lo, hi = getattr(self, name)
+            if lo < floor:
+                raise ValueError(f"{name} starts below {floor}: ({lo}, {hi})")
             if lo > hi:
                 raise ValueError(f"{name} is empty: ({lo}, {hi})")
         if not 0 < self.eligibility_density <= 1:
@@ -400,18 +402,12 @@ class GeneratorConfig:
 
 
 def generate_instance(config: GeneratorConfig) -> Instance:
-    """Generate a random valid instance, deterministically in the seed."""
+    """Generate a random instance, deterministically in the seed.
+
+    The config's floors make every draw valid, so there is one draw;
+    ValidationError should it break an invariant all the same.
+    """
     rng = random.Random(config.seed)
-    for _ in range(config.max_retries):
-        instance = _generate_once(config, rng)
-        if not errors_only(validate_instance(instance)):
-            return instance
-    raise GenerationRetryExceeded(
-        f"no valid instance after {config.max_retries} attempts (seed {config.seed})"
-    )
-
-
-def _generate_once(config: GeneratorConfig, rng: random.Random) -> Instance:
     a = config.n_attributes
     setup_times = tuple(
         tuple(rng.randint(*config.setup_time_range) for _ in range(a)) for _ in range(a)
@@ -462,13 +458,7 @@ def _generate_once(config: GeneratorConfig, rng: random.Random) -> Instance:
             Machine(machine_id, capacities[machine_id - 1], rng.randint(1, a), tuple(windows))
         )
 
-    return Instance(
-        machines=tuple(machines),
-        jobs=tuple(jobs),
-        attribute_count=a,
-        setup_times=setup_times,
-        setup_costs=setup_costs,
-    )
+    return _checked(Instance(machines, jobs, a, setup_times, setup_costs))
 
 
 @dataclass(frozen=True)

@@ -183,10 +183,8 @@ class ObjectiveWeights:
             raise ValueError("normalizers must be positive")
 
     @classmethod
-    def for_instance(
-        cls, instance: Instance, w_proc: int = 4, w_tardy: int = 100, w_setup: int = 1
-    ) -> "ObjectiveWeights":
-        """Derive normalizers from the instance.
+    def for_instance(cls, instance: Instance) -> "ObjectiveWeights":
+        """The default weights with normalizers derived from the instance.
 
         proc_norm is the mean minimal processing time rounded up; setup_norm is
         the largest setup-cost entry (1 when the matrix is all zero).
@@ -196,13 +194,7 @@ class ObjectiveWeights:
         else:
             proc_norm = 1
         setup_norm = max((c for row in instance.setup_costs for c in row), default=0)
-        return cls(
-            w_proc=w_proc,
-            w_tardy=w_tardy,
-            w_setup=w_setup,
-            proc_norm=max(1, proc_norm),
-            setup_norm=max(1, setup_norm),
-        )
+        return cls(proc_norm=max(1, proc_norm), setup_norm=max(1, setup_norm))
 
     @property
     def weight_sum(self) -> int:

@@ -163,15 +163,13 @@ def build_schedule(instance: Instance, layout: Layout) -> Solution:
     )
 
 
-def check_feasibility(
-    instance: Instance, solution: Solution, require_complete: bool = True
-) -> list[Violation]:
+def check_feasibility(instance: Instance, solution: Solution) -> list[Violation]:
     """Check every scheduling rule; an empty result means a feasible solution.
 
     Rules: attribute homogeneity, release dates, processing-time windows,
     setup separation and non-overlap, machine eligibility, machine
-    availability, machine capacity, plus (when require_complete) that every
-    job is scheduled exactly once.
+    availability, machine capacity, and that every job is scheduled exactly
+    once.
     """
     if len(solution.batches) != instance.n_machines:
         raise ValueError("solution and instance machine counts differ")
@@ -255,13 +253,10 @@ def check_feasibility(
             prev_attribute = attribute
             prev_end = batch.end
 
-    if require_complete:
-        for j in instance.jobs:
-            count = seen.get(j.id, 0)
-            if count != 1:
-                violations.append(
-                    Violation(f"job {j.id}", "assignment", f"scheduled {count} times")
-                )
+    for j in instance.jobs:
+        count = seen.get(j.id, 0)
+        if count != 1:
+            violations.append(Violation(f"job {j.id}", "assignment", f"scheduled {count} times"))
 
     return violations
 

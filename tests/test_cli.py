@@ -171,6 +171,15 @@ def test_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, "generate", "--config", str(config), "-o", str(tmp_path / "x"))
     assert code == 1
     assert "error: " in err and "bogus" in err
+    # a range below its floor is refused, not redrawn until valid; max_retries
+    # went with the redraws
+    for field, value in (("window_count_range", [0, 0]), ("release_range", [-3, 3]),
+                         ("max_retries", 50)):
+        config.write_text(f'{{"n_jobs": 5, "{field}": {value}}}')
+        code, _, err = run(capsys, "generate", "--config", str(config), "-o", str(tmp_path / "x"))
+        assert code == 1
+        assert "error: " in err and field in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_anneal_rejects_params_that_switch_the_search_off(capsys):
@@ -215,6 +224,7 @@ def test_bad_instance_exits_2(capsys, tmp_path):
         good.replace("release 2 ", "release +2 "),
         good.replace("job 1 attribute 2", "job 1 attribute 1 attribute 2"),
         good.replace("capacity 18 ", "capacity 18 colour 3 "),
+        good.replace("eligible 1 2\n", "eligible 1 2 2\n", 1),
     ):
         bad.write_text(text)
         code, _, err = run(capsys, "bounds", str(bad))
@@ -386,13 +396,13 @@ def test_bench_process_pool_matches_serial(capsys, tmp_path):
     [
         (["--n", "12"],
          "c4acd18b193ad921da788a9b103f3f4b05621ebb0ad97a0dd3d7e40baad196d9",
-         "bd2746d5718a8e7a0610ccd7f150de37c88051e2a2193dd0ad0e3728ac640a7e"),
+         "92933c3781d9fd712294ef0ea3d010363cf97cace3faa9b4704bf984124b42db"),
         (["--n", "9", "--k", "3", "--a", "4", "--seed", "5"],
          "e9b6c1e1d96b54b4faced4f54378bf015e74e339da0e11bd2dcd7f372f25b7b9",
-         "f106b496c2a10edb29c50919e180755443a03166288e63ba032ee505f134397c"),
+         "3179b27d174921a23aae48909989325bbe348b946f78168273012d200cdcac76"),
         (["--config", "base.json", "--k", "3", "--seed", "8"],
          "8cf0eca38e2558d1ecd1f58822363de049d7d4bc9ee6f21cdbcc2e28b2926f2a",
-         "cb83c8124fbde737209be415a12977b8aff996fff6f2cd4b536a9edc60df7541"),
+         "d47afd2824969a4a5b3cd3cbf5c336a6283d01dfa9f52c0a1f1e4635f8a13018"),
     ],
 )
 def test_generate_files_pinned(capsys, tmp_path, monkeypatch, flags, instance_digest,

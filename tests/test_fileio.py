@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import time
+from dataclasses import fields
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ovensched import (
     GeneratorConfig,
@@ -100,6 +102,9 @@ def test_parse_errors():
     ):
         with pytest.raises(ParseError, match=message):
             parse_instance(good.replace(line, bad, 1))
+    # a machine id listed twice is not read as listed once
+    with pytest.raises(ParseError, match="repeated"):
+        parse_instance(good.replace("eligible 1 2\n", "eligible 1 2 2\n", 1))
     reordered = good.replace("attribute 2 size 18 release 2", "release 2 size 18 attribute 2")
     assert reordered != good
     assert parse_instance(reordered) == parse_instance(good)
@@ -140,6 +145,50 @@ def test_generator_scale():
     assert errors_only(validate_instance(inst)) == []
 
 
+# The least value of each generator range; within these every draw is valid.
+RANGE_FLOORS = {
+    "size_range": 1,
+    "capacity_range": 1,
+    "min_time_range": 1,
+    "window_count_range": 1,
+    "extra_time_range": 0,
+    "release_range": 0,
+    "due_slack_range": 0,
+    "window_length_range": 0,
+    "window_gap_range": 0,
+    "setup_time_range": 0,
+    "setup_cost_range": 0,
+}
+
+
+@st.composite
+def _floor_configs(draw) -> GeneratorConfig:
+    """Configs whose ranges start at or just above their floors."""
+    ranges = {}
+    for name, floor in RANGE_FLOORS.items():
+        lo = draw(st.integers(floor, floor + 2))
+        ranges[name] = (lo, lo + draw(st.integers(0, 20)))
+    return GeneratorConfig(
+        n_jobs=draw(st.integers(1, 30)),
+        n_machines=draw(st.integers(1, 4)),
+        n_attributes=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 10_000)),
+        eligibility_density=draw(st.floats(0.05, 1.0)),
+        **ranges,
+    )
+
+
+@settings(deadline=None)
+@given(_floor_configs())
+@example(GeneratorConfig(n_jobs=30, n_machines=4, n_attributes=4,
+                         **{name: (floor, floor) for name, floor in RANGE_FLOORS.items()}))
+def test_generator_draws_valid_instances_at_the_floors(config):
+    # one draw: generate_instance raises ValidationError on an invalid one
+    instance = generate_instance(config)
+    assert errors_only(validate_instance(instance)) == []
+    assert (instance.n_jobs, instance.n_machines) == (config.n_jobs, config.n_machines)
+
+
 def test_generator_config_json_round_trip():
     cfg = tiny_config(12, 9)
     assert GeneratorConfig.from_json(cfg.to_json()) == cfg
@@ -152,6 +201,14 @@ def test_generator_config_validation():
         GeneratorConfig(n_jobs=5, size_range=(3, 2))
     with pytest.raises(ValueError):
         GeneratorConfig(n_jobs=5, eligibility_density=0.0)
+    # each range starts at or above its floor; below it a draw can be invalid
+    # (window_count_range (0, 0) draws no window, release_range (-3, 3)
+    # negative releases)
+    assert set(RANGE_FLOORS) == {f.name for f in fields(GeneratorConfig) if f.name.endswith("_range")}
+    for name, floor in RANGE_FLOORS.items():
+        with pytest.raises(ValueError, match=name):
+            GeneratorConfig(n_jobs=5, **{name: (floor - 1, floor + 3)})
+        GeneratorConfig(n_jobs=5, **{name: (floor, floor)})
     # a config file names known fields, n_jobs among them, with values of
     # their types
     for text, message in (

@@ -144,7 +144,6 @@ def test_check_feasibility_assignment(example):
     partial = Solution(tuple(tuple(r) for r in rows))
     found = check_feasibility(example, partial)
     assert any(v.rule == "assignment" and "job 9" in v.entity for v in found)
-    assert check_feasibility(example, partial, require_complete=False) == []
 
 
 def test_evaluate_checks_by_default(example):
