@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+import hashlib
 import math
 import random
 from collections import Counter
@@ -25,6 +27,7 @@ from ovensched import (
     check_feasibility,
     construct,
     evaluate,
+    exact_solve,
     generate_instance,
     objective_lb,
     run_annealing,
@@ -538,6 +541,50 @@ def test_pinned_results_beyond_benchmark_scale(n_jobs, rng_seed, expected, diges
     assert result.stop_reason == "final_temp"
     assert result.cost == expected
     assert schedule_digest(result.solution) == digest
+
+
+# The criterion-7 protocol on six of its instances (generator seeds
+# 30000 + item; items 11 and 18 are left out as slow): default parameters,
+# stopping at the oracle optimum. Rows hold one to four batches, so every
+# move kind is drawn often, new batches on each eligible machine included.
+# Pinned are the final cost, the stop reason and a sha256 of the trace costs.
+@functools.cache
+def _criterion_7_item(item):
+    """The instance and a bound that stops SA at its oracle optimum."""
+    instance = generate_instance(tiny_config(6 + item % 4, 30000 + item))
+    optimum = exact_solve(instance).cost.objective
+    return instance, replace(objective_lb(instance), objective_lb=optimum)
+
+
+TINY_PINS = [
+    (1, 0, (131, 2, 34), "gap", "da869155941ca4fd598ef404613cca54275c0ea053c421b0da9cbb399b0bfc4c"),
+    (1, 1, (131, 2, 34), "gap", "5223d9fffc38d9d818334371cee489f4b5dadf91322ac1f834b9c4acc55485ba"),
+    (2, 0, (115, 0, 59), "gap", "707cc26115d4ad7f84389a0ddab14ffe1b80992ffa41313b5938f98f37891c9e"),
+    (2, 1, (115, 0, 59), "gap", "7bfbbb8f65a5643faf2efd9ccff559292e501bedafce4183ee94491d27a6edb5"),
+    (3, 0, (159, 2, 22), "gap", "581f09408853b3263990c660db1f500fb3980a5ba30fc5abbf6726cb6f6aff87"),
+    (3, 1, (159, 2, 22), "gap", "29e7af5590d04032388b348e7fc4463fe99f62e0fea72ef43fd1175f9b8d24a7"),
+    (7, 0, (149, 1, 50), "gap", "663547367cfed79f374eadb271b22ad7068c7da5e2ac477e63399098b32621dc"),
+    (7, 1, (149, 1, 50), "gap", "8c37aed0cbbd4e34fa0fc8566889f3ee22e8c4f4af1a5ca8a2f30ab1e0860aba"),
+    (8, 0, (145, 1, 28), "gap", "a997db0e3d6db34cf3807a72bbbaa0ac4e3d5875d045657cef91223a548f8474"),
+    (8, 1, (145, 1, 39), "final_temp", "f3e086af8f489c1d64acc0987a62e40ca3b71f59b80648aeb5aee37b5bdff3e4"),
+    (9, 0, (90, 0, 54), "gap", "f23f9374deba27512f83d434b630a580f75352db06577fa74f900d35a17967f7"),
+    (9, 1, (90, 0, 54), "gap", "62327efb4bb13403d0fe09a7e6ac6af003e441a69886fabf4ec527cc1a925a24"),
+]
+
+
+@pytest.mark.parametrize(
+    "item, rng_seed, components, stop_reason, trace_digest",
+    TINY_PINS,
+    ids=[f"item{item}-s{seed}" for item, seed, *_ in TINY_PINS],
+)
+def test_pinned_results_at_tiny_scale(item, rng_seed, components, stop_reason, trace_digest):
+    instance, stop_at_optimum = _criterion_7_item(item)
+    params = AnnealParams(rng_seed=rng_seed, time_limit=30.0, lb_gap_stop=0.0)
+    result = run_annealing(instance, params, lb=stop_at_optimum)
+    assert (result.cost.proc_time, result.cost.tardy, result.cost.setup_cost) == components
+    assert result.stop_reason == stop_reason
+    costs = repr([point.cost for point in result.trace])
+    assert hashlib.sha256(costs.encode()).hexdigest() == trace_digest
 
 
 def test_rigid_shift_rejoin_saves_kernel_calls(monkeypatch):
