@@ -63,7 +63,6 @@ from .oracle import (
     OracleLimits,
     OracleResult,
     exact_solve,
-    min_clique_cover,
 )
 from .schedule import (
     InfeasibleBatch,

@@ -16,7 +16,10 @@ only from its first changed batch, and stops as soon as the rest of the
 row is the old row's unchanged tail slid in time; the cost change is the
 new entries minus the replaced ones. Moves whose rows cannot be scheduled
 are discarded. Batch objects are built only for the returned best
-solution.
+solution. What sample_move draws from (MoveSpace: jobs per row, the rows
+of two batches or more, the batch and job counts, each job's eligible
+machine indices) is kept with the layout and counted again only for the
+rows an accepted move changed, so a draw does not scan the layout.
 
 The rejoin rule. A batch is rigid when it starts exactly at its
 predecessor's end plus the setup time. If the predecessor of a rigid batch
@@ -48,10 +51,9 @@ from __future__ import annotations
 import math
 import random
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .bounds import BoundReport
 from .greedy import construct
@@ -171,11 +173,12 @@ def _job_at(layout: Layout, row_jobs: Sequence[int], index: int) -> tuple[int, i
 
     row_jobs[m] is the number of jobs in machine row m.
     """
-    for m, (row, size) in enumerate(zip(layout, row_jobs)):
+    for m, size in enumerate(row_jobs):
         if index < size:
-            ends = list(accumulate(map(len, row)))
-            b = bisect_right(ends, index)
-            return row[b][index - ends[b] + len(row[b])], m, b
+            for b, batch in enumerate(layout[m]):
+                if index < len(batch):
+                    return batch[index], m, b
+                index -= len(batch)
         index -= size
     raise IndexError("job index out of range")
 
@@ -189,34 +192,65 @@ def _batch_at(layout: Layout, index: int) -> tuple[int, int]:
     raise IndexError("batch index out of range")
 
 
+class MoveSpace:
+    """What sample_move draws from in a layout.
+
+    row_jobs[m] counts the jobs of machine row m, multi_batch lists the rows
+    of two batches or more in machine order, batches and jobs count the
+    layout's batches and jobs, and eligible[job id] holds the indices of the
+    job's eligible machines in increasing machine-id order.
+    """
+
+    row_jobs: list[int]
+    multi_batch: list[int]
+    batches: int
+    jobs: int
+    eligible: dict[int, tuple[int, ...]]
+
+    def __init__(self, instance: Instance, layout: Layout):
+        index = {machine.id: m for m, machine in enumerate(instance.machines)}
+        self.eligible = {j.id: tuple(index[i] for i in sorted(j.eligible)) for j in instance.jobs}
+        if not all(self.eligible.values()) or any(not batch for row in layout for batch in row):
+            # sample_move would draw from an empty range, which never ends
+            raise ValueError("every job needs an eligible machine and every batch a job")
+        self.row_jobs = [0] * len(layout)
+        self.recount(layout, range(len(layout)))
+
+    def recount(self, layout: Layout, rows: Iterable[int]) -> None:
+        """Count the layout again after the given rows changed."""
+        for m in rows:
+            self.row_jobs[m] = sum(map(len, layout[m]))
+        self.multi_batch = [m for m, row in enumerate(layout) if len(row) >= 2]
+        self.batches = sum(map(len, layout))
+        self.jobs = sum(self.row_jobs)
+
+
 def sample_move(
     instance: Instance,
     layout: Layout,
     rng: random.Random,
     probs: tuple[float, float, float, float] = AnnealParams.move_probs,
-    row_jobs: Sequence[int] | None = None,
+    space: MoveSpace | None = None,
 ) -> Move:
     """Draw a move kind by probability, then uniform arguments.
 
     Kinds whose argument space is empty are excluded from the draw (the
     distribution is the same as resampling until a usable kind comes up).
     Jobs and batches are drawn by their index in layout order, and a job
-    moves into any batch but its own. row_jobs[m], when given, is the
-    number of jobs in machine row m. Raises NoMoveAvailable when no kind
-    has arguments.
+    moves into any batch but its own. space is the layout's MoveSpace,
+    counted here when not given (a ValueError when a job has no eligible
+    machine or a batch no job). Raises NoMoveAvailable when no kind has
+    arguments.
     """
-    multi_batch_machines = [m for m, row in enumerate(layout) if len(row) >= 2]
-    total_batches = sum(map(len, layout))
-    if row_jobs is None:
-        row_jobs = [sum(map(len, row)) for row in layout]
-    total_jobs = sum(row_jobs)
-    available = (
-        bool(multi_batch_machines),
-        bool(multi_batch_machines),
-        total_batches >= 2,
-        total_jobs > 0,
+    if space is None:
+        space = MoveSpace(instance, layout)
+    multi_batch, total_batches, total_jobs = space.multi_batch, space.batches, space.jobs
+    weights = (
+        probs[0] if multi_batch else 0.0,
+        probs[1] if multi_batch else 0.0,
+        probs[2] if total_batches >= 2 else 0.0,
+        probs[3] if total_jobs > 0 else 0.0,
     )
-    weights = [p if ok else 0.0 for p, ok in zip(probs, available)]
     total = sum(weights)
     if total <= 0:
         raise NoMoveAvailable("every move's argument space is empty")
@@ -228,28 +262,29 @@ def sample_move(
         if draw < acc:
             break
 
+    # randrange(n) without its argument checks; every n below is positive
+    randbelow = rng._randbelow
     if kind == 0:
-        machine = multi_batch_machines[rng.randrange(len(multi_batch_machines))]
-        return SwapBatches(machine, rng.randrange(len(layout[machine]) - 1))
+        machine = multi_batch[randbelow(len(multi_batch))]
+        return SwapBatches(machine, randbelow(len(layout[machine]) - 1))
     if kind == 1:
-        machine = multi_batch_machines[rng.randrange(len(multi_batch_machines))]
+        machine = multi_batch[randbelow(len(multi_batch))]
         length = len(layout[machine])
-        src = rng.randrange(length)
-        dst = rng.randrange(length - 1)
+        src = randbelow(length)
+        dst = randbelow(length - 1)
         if dst >= src:
             dst += 1
         return ReinsertBatch(machine, src, dst)
-    job_id, m0, b0 = _job_at(layout, row_jobs, rng.randrange(total_jobs))
+    job_id, m0, b0 = _job_at(layout, space.row_jobs, randbelow(total_jobs))
     if kind == 2:
-        slot = rng.randrange(total_batches - 1)
+        slot = randbelow(total_batches - 1)
         if slot >= sum(map(len, layout[:m0])) + b0:
             slot += 1
         machine, batch = _batch_at(layout, slot)
         return MoveJob(job_id, machine, batch)
-    eligible = sorted(instance.job(job_id).eligible)
-    machine_id = eligible[rng.randrange(len(eligible))]
-    machine = next(i for i, m in enumerate(instance.machines) if m.id == machine_id)
-    return MoveJobNewBatch(job_id, machine, rng.randrange(len(layout[machine]) + 1))
+    eligible = space.eligible[job_id]
+    machine = eligible[randbelow(len(eligible))]
+    return MoveJobNewBatch(job_id, machine, randbelow(len(layout[machine]) + 1))
 
 
 State = tuple[int, int, int, int, int]
@@ -436,8 +471,9 @@ class _Search:
     layout[m] holds machine row m's batches and rows[m] their summaries and
     per-position schedule state (_Row), so a move is costed by rescheduling
     only the changed part of the rows it edits. totals are the (processing
-    time, tardy jobs, setup cost) of the whole layout; row_jobs[m] counts
-    row m's jobs.
+    time, tardy jobs, setup cost) of the whole layout. space is the
+    layout's MoveSpace, kept for sample_move: accept counts again only the
+    rows a move changed.
     """
 
     def __init__(self, instance: Instance, layout: Layout):
@@ -456,7 +492,7 @@ class _Search:
             self.rows.append(_materialize(instance, machine, edit))
         self.totals = tuple(map(sum, zip(*(r.cost for r in self.rows))))
         self.row_of = {j: m for m, row in enumerate(self.layout) for b in row for j in b}
-        self.row_jobs = [sum(map(len, row)) for row in self.layout]
+        self.space = MoveSpace(instance, self.layout)
 
     def locate(self, job_id: int) -> tuple[int, int]:
         m = self.row_of[job_id]
@@ -468,37 +504,35 @@ class _Search:
         None when the move would put a job into its own batch, or when the
         batch a job move makes breaks a batch rule (schedule.batch_fault).
         """
-        edits: dict[int, _RowEdit] = {}
-
-        def edit(m: int) -> _RowEdit:
-            if m not in edits:
-                edits[m] = _RowEdit(self.rows[m], self.layout[m])
-            return edits[m]
-
-        if isinstance(move, SwapBatches):
-            edit(move.machine).move(move.position, move.position + 1)
-            return edits
-        if isinstance(move, ReinsertBatch):
-            edit(move.machine).move(move.src, move.dst)
-            return edits
+        kind, target = type(move), move.machine
+        if kind is SwapBatches or kind is ReinsertBatch:
+            edit = _RowEdit(self.rows[target], self.layout[target])
+            if kind is SwapBatches:
+                edit.move(move.position, move.position + 1)
+            else:
+                edit.move(move.src, move.dst)
+            return {target: edit}
 
         instance = self.instance
         m0, b0 = self.locate(move.job)
-        if isinstance(move, MoveJob):
-            if (m0, b0) == (move.machine, move.batch):
+        if kind is MoveJob:
+            if m0 == target and b0 == move.batch:
                 return None
-            batch = sorted([*self.layout[move.machine][move.batch], move.job])
+            batch = sorted([*self.layout[target][move.batch], move.job])
         else:
             batch = [move.job]
         summary = summarize(instance, batch)
-        if batch_fault(instance, instance.machines[move.machine], batch, summary) is not None:
+        if batch_fault(instance, instance.machines[target], batch, summary) is not None:
             return None
-        if isinstance(move, MoveJob):
-            edit(move.machine).replace(move.batch, batch, summary)
-            edit(m0).remove_job(instance, b0, move.job)
+        edits = {target: _RowEdit(self.rows[target], self.layout[target])}
+        if m0 != target:
+            edits[m0] = _RowEdit(self.rows[m0], self.layout[m0])
+        if kind is MoveJob:
+            edits[target].replace(move.batch, batch, summary)
+            edits[m0].remove_job(instance, b0, move.job)
         else:
-            edit(m0).remove_job(instance, b0, move.job)
-            row = edit(move.machine)
+            edits[m0].remove_job(instance, b0, move.job)
+            row = edits[target]
             row.insert(min(move.position, len(row.row)), batch, summary)
         return edits
 
@@ -523,9 +557,8 @@ class _Search:
             self.rows[m] = _materialize(self.instance, self.instance.machines[m], edit)
             self.layout[m] = edit.row
         if isinstance(move, (MoveJob, MoveJobNewBatch)):
-            self.row_jobs[self.row_of[move.job]] -= 1
-            self.row_jobs[move.machine] += 1
             self.row_of[move.job] = move.machine
+        self.space.recount(self.layout, edits)
         self.totals = totals
 
 
@@ -552,7 +585,6 @@ def run_annealing(
     started = time.perf_counter()
 
     greedy_solution, greedy_cost = construct(instance, weights)
-    layout: Layout = greedy_solution.layout()
     current_obj = greedy_cost.objective
 
     best_layout: Layout | None = None  # None while the greedy start is best
@@ -588,26 +620,22 @@ def run_annealing(
     if instance.n_jobs == 0:
         return finish("no_moves")
 
-    search = _Search(instance, layout)
-
-    def try_move():
-        """Sample and evaluate one move; None when rejected or infeasible."""
-        move = sample_move(instance, search.layout, rng, params.move_probs, search.row_jobs)
-        outcome = search.evaluate(move)
-        if outcome is None:
-            return None
-        edits, totals = outcome
-        return move, edits, totals, weights.objective(*totals, instance.n_jobs)
+    search = _Search(instance, greedy_solution.layout())
+    # the move loops run once per move, so what they call is bound here
+    layout, space, evaluate = search.layout, search.space, search.evaluate
+    probs, time_limit = params.move_probs, params.time_limit
+    objective, n_jobs = weights.objective, instance.n_jobs
+    clock, uniform, exp = time.perf_counter, rng.random, math.exp
 
     try:
         # warm-up: average |delta| of random moves around the start solution
         deltas = []
         for _ in range(params.warmup_moves):
-            if elapsed() >= params.time_limit:
+            if clock() - started >= time_limit:
                 return finish("time")
-            outcome = try_move()
+            outcome = evaluate(sample_move(instance, layout, rng, probs, space))
             if outcome is not None:
-                deltas.append(abs(outcome[3] - current_obj))
+                deltas.append(abs(objective(*outcome[1], n_jobs) - current_obj))
         mean_delta = sum(deltas) / len(deltas) if deltas else 0.0
         if mean_delta > 0:
             temperature = -mean_delta / math.log(params.accepted_ratio)
@@ -618,19 +646,21 @@ def run_annealing(
 
         while temperature > params.final_temp:
             for _ in range(moves_per_level):
-                now = elapsed()
-                if now >= params.time_limit:
+                now = clock() - started
+                if now >= time_limit:
                     return finish("time")
-                outcome = try_move()
+                move = sample_move(instance, layout, rng, probs, space)
+                outcome = evaluate(move)
                 if outcome is None:
                     continue
-                move, edits, totals, new_obj = outcome
+                edits, totals = outcome
+                new_obj = objective(*totals, n_jobs)
                 delta = new_obj - current_obj
-                if delta <= 0 or rng.random() < math.exp(-delta / temperature):
+                if delta <= 0 or uniform() < exp(-delta / temperature):
                     search.accept(move, edits, totals)
                     current_obj = new_obj
                     if new_obj < best_cost.objective:
-                        best_layout = list(search.layout)
+                        best_layout = list(layout)
                         best_cost = CostBreakdown(*totals, new_obj)
                         trace.append(TracePoint(now, best_cost))
                         if gap_reached(best_cost):

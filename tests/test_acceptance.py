@@ -20,7 +20,6 @@ from ovensched import (
     exact_solve,
     gac_plus,
     generate_instance,
-    min_clique_cover,
     objective_lb,
     parse_instance,
     relative_gap,
@@ -29,6 +28,7 @@ from ovensched import (
 from ovensched.cli import dispatch
 from ovensched.oracle import BudgetExceeded, OracleLimits
 
+from clique_cover import min_clique_cover
 from conftest import EXAMPLE_PATH, tiny_config
 
 

@@ -228,6 +228,17 @@ def test_no_move_available():
         sample_move(inst, [[], []], random.Random(0))
 
 
+def test_sample_move_rejects_empty_ranges(example):
+    # an empty batch or a job without an eligible machine leaves a draw
+    # with nothing to draw from
+    with pytest.raises(ValueError, match="every batch a job"):
+        sample_move(example, [[[1], []], []], random.Random(0))
+    no_machine = replace(example.job(3), eligible=frozenset())
+    instance = replace(example, jobs=(*example.jobs[:2], no_machine, *example.jobs[3:]))
+    with pytest.raises(ValueError, match="eligible machine"):
+        sample_move(instance, [[[1]], [[3]]], random.Random(0))
+
+
 def test_run_without_moves_stops_with_no_moves():
     # one single-job batch per machine leaves no pair of batches to swap,
     # the only move kind with a positive probability
@@ -387,9 +398,11 @@ def _walk(instance, walk_seed, moves, events):
 
     Every feasible row edit is materialized as accept would do it and
     compared with schedule_machine/machine_cost; every position where the
-    rescheduling passed the old tail is checked against _slide_fault. After
-    each accept every row must equal a rebuild from scratch, and the ranges
-    of the rows it changed must be exact. events counts rejoins by their
+    rescheduling passed the old tail is checked against _slide_fault. A
+    sampled move must be the one sample_move draws from the same random
+    state when it counts the layout itself. After each accept every row and
+    the MoveSpace must equal a rebuild from scratch, and the ranges of the
+    rows it changed must be exact. events counts rejoins by their
     offset's sign and refused slides by reason.
     """
     weights = ObjectiveWeights.for_instance(instance)
@@ -397,7 +410,11 @@ def _walk(instance, walk_seed, moves, events):
     rng = random.Random(walk_seed)
     for _ in range(moves):
         if rng.random() < 0.8:
-            move = sample_move(instance, search.layout, rng, row_jobs=search.row_jobs)
+            twin = random.Random()
+            twin.setstate(rng.getstate())
+            move = sample_move(instance, search.layout, rng, space=search.space)
+            assert sample_move(instance, search.layout, twin) == move
+            assert twin.getstate() == rng.getstate()
         else:
             move = _any_move(instance, search.layout, rng)
         new_layout = apply_move(instance, search.layout, move)
@@ -444,7 +461,7 @@ def _walk(instance, walk_seed, moves, events):
             assert totals == (full.proc_time, full.tardy, full.setup_cost)
             fresh = _Search(instance, search.layout)
             assert search.rows == fresh.rows
-            assert search.row_jobs == fresh.row_jobs
+            assert vars(search.space) == vars(fresh.space)
             for m in changed:
                 _check_row_ranges(instance, instance.machines[m], search.rows[m], search.layout[m])
 

@@ -391,19 +391,25 @@ def test_bench_process_pool_matches_serial(capsys, tmp_path):
 
 
 # sha256 of the instance and of the --save-config file that generate writes
+GENERATE_PINS = [
+    (["--n", "12"],
+     "c4acd18b193ad921da788a9b103f3f4b05621ebb0ad97a0dd3d7e40baad196d9",
+     "92933c3781d9fd712294ef0ea3d010363cf97cace3faa9b4704bf984124b42db"),
+    (["--n", "9", "--k", "3", "--a", "4", "--seed", "5"],
+     "e9b6c1e1d96b54b4faced4f54378bf015e74e339da0e11bd2dcd7f372f25b7b9",
+     "3179b27d174921a23aae48909989325bbe348b946f78168273012d200cdcac76"),
+    (["--config", "base.json", "--k", "3", "--seed", "8"],
+     "8cf0eca38e2558d1ecd1f58822363de049d7d4bc9ee6f21cdbcc2e28b2926f2a",
+     "d47afd2824969a4a5b3cd3cbf5c336a6283d01dfa9f52c0a1f1e4635f8a13018"),
+]
+
+
+# the ids name the flags, so re-pinning a digest keeps them
 @pytest.mark.parametrize(
     "flags, instance_digest, config_digest",
-    [
-        (["--n", "12"],
-         "c4acd18b193ad921da788a9b103f3f4b05621ebb0ad97a0dd3d7e40baad196d9",
-         "92933c3781d9fd712294ef0ea3d010363cf97cace3faa9b4704bf984124b42db"),
-        (["--n", "9", "--k", "3", "--a", "4", "--seed", "5"],
-         "e9b6c1e1d96b54b4faced4f54378bf015e74e339da0e11bd2dcd7f372f25b7b9",
-         "3179b27d174921a23aae48909989325bbe348b946f78168273012d200cdcac76"),
-        (["--config", "base.json", "--k", "3", "--seed", "8"],
-         "8cf0eca38e2558d1ecd1f58822363de049d7d4bc9ee6f21cdbcc2e28b2926f2a",
-         "d47afd2824969a4a5b3cd3cbf5c336a6283d01dfa9f52c0a1f1e4635f8a13018"),
-    ],
+    GENERATE_PINS,
+    ids=["-".join(f"{flag[2:]}={value}" for flag, value in zip(flags[::2], flags[1::2]))
+         for flags, _, _ in GENERATE_PINS],
 )
 def test_generate_files_pinned(capsys, tmp_path, monkeypatch, flags, instance_digest,
                                config_digest):

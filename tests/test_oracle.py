@@ -12,11 +12,11 @@ from ovensched import (
     exact_solve,
     gac_plus,
     generate_instance,
-    min_clique_cover,
     objective_lb,
 )
 from ovensched.oracle import BudgetExceeded, Infeasible, OracleLimits
 
+from clique_cover import min_clique_cover
 from conftest import EXAMPLE_OBJECTIVE, EXAMPLE_OPTIMAL, schedule_digest, tiny_config
 
 
