@@ -33,6 +33,55 @@ def test_bounds_fixture(capsys):
     assert "computed in" in err  # timing stays on stderr
 
 
+_FIXTURE_BOUNDS = """\
+jobs 10 machines 2 attributes 2
+attribute 1 large 0 small 3 b_best 2 p_best 38
+attribute 2 large 4 small 3 b_best 6 p_best 120
+batches_lb 8
+proc_lb 158
+setup_lb 68 before 60 after 68
+tardy_lb 7 jobs 1 2 3 4 6 9 10
+objective_lb 0.706582
+"""
+
+_N100_BOUNDS = """\
+jobs 100 machines 5 attributes 5
+attribute 1 large 0 small 20 b_best 6 p_best 305
+attribute 2 large 0 small 23 b_best 6 p_best 437
+attribute 3 large 0 small 21 b_best 7 p_best 410
+attribute 4 large 0 small 18 b_best 6 p_best 342
+attribute 5 large 0 small 18 b_best 5 p_best 359
+batches_lb 30
+proc_lb 1853
+setup_lb 31 before 31 after 22
+"""
+
+# the whole bounds report; on the n=100 instance the setup floor into the
+# attribute is what makes job 22 late everywhere
+BOUNDS_PINS = {
+    "fixture": (_FIXTURE_BOUNDS, _FIXTURE_BOUNDS),
+    "n100-k5-a5-seed3": (
+        _N100_BOUNDS + "tardy_lb 3 jobs 18 22 87\nobjective_lb 0.040890\n",
+        _N100_BOUNDS + "tardy_lb 2 jobs 18 87\nobjective_lb 0.031366\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("no_min_setup", [False, True], ids=["min-setup", "no-min-setup"])
+@pytest.mark.parametrize("name", list(BOUNDS_PINS))
+def test_bounds_stdout_pinned(capsys, tmp_path, monkeypatch, name, no_min_setup):
+    monkeypatch.chdir(tmp_path)
+    if name == "fixture":
+        path = EXAMPLE
+    else:
+        path = "n100.osp"
+        generate = ("--n", "100", "--k", "5", "--a", "5", "--seed", "3", "-o", path)
+        assert run(capsys, "generate", *generate)[0] == 0
+    code, out, _ = run(capsys, "bounds", path, *(["--no-min-setup"] if no_min_setup else []))
+    assert code == 0
+    assert out == f"instance {path}\n" + BOUNDS_PINS[name][no_min_setup]
+
+
 def test_greedy_fixture(capsys, tmp_path):
     solution_path = tmp_path / "greedy.sol"
     code, out, _ = run(capsys, "greedy", EXAMPLE, "--solution", str(solution_path))
