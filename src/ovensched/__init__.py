@@ -23,10 +23,8 @@ from .bounds import (
     BoundReport,
     NoFeasiblePlacement,
     attribute_bounds,
-    batch_lb_capacity,
     batch_lb_eligibility,
     classify_large_small,
-    combine_overall,
     gac_plus,
     objective_lb,
     proc_lb_eligibility,

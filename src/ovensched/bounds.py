@@ -7,20 +7,19 @@ compatibility argument (a greedy clique cover of the unit-size relaxation).
 The better of the two is kept per attribute. Setup-cost and tardy-job
 bounds build on top, and everything is aggregated into a bound on the
 normalized objective.
+
+late_floor is the package's one "late wherever it runs" floor: tardy_lb
+applies it to each job alone, and the oracle to each candidate batch.
 """
 
 from __future__ import annotations
 
-import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .model import (
-    Instance,
-    ObjectiveWeights,
-    earliest_solo_completion,
-)
+from .model import Instance, Machine, ObjectiveWeights
 
 
 class NoFeasiblePlacement(Exception):
@@ -38,8 +37,6 @@ class AttributeBoundDetail:
     attribute: int
     large_jobs: frozenset[int]
     small_jobs: frozenset[int]
-    b_capacity: int
-    b_large_small: int
     b_elig_small: int
     b_gac_small: int
     p_large: int
@@ -106,20 +103,6 @@ def classify_large_small(
             large.add(j.id)
     small = {j.id for j in jobs} - large
     return frozenset(large), frozenset(small)
-
-
-def batch_lb_capacity(
-    instance: Instance, large: frozenset[int], small: frozenset[int]
-) -> tuple[int, int]:
-    """Capacity-based batch-count bounds of an attribute's large and small
-    jobs: plain and with large jobs set aside."""
-    if not large and not small:
-        return 0, 0
-    cap = instance.max_capacity
-    small_total = sum(instance.job(j).size for j in small)
-    plain = math.ceil((sum(instance.job(j).size for j in large) + small_total) / cap)
-    refined = len(large) + math.ceil(small_total / cap)
-    return plain, refined
 
 
 def batch_lb_eligibility(instance: Instance, small: frozenset[int]) -> EligibilityBound:
@@ -239,7 +222,6 @@ def gac_plus(units: Sequence[tuple], capacity: int) -> tuple[int, int]:
 def attribute_bounds(instance: Instance, attribute: int) -> AttributeBoundDetail:
     """Assemble every per-attribute bound on one large/small split."""
     large, small = classify_large_small(instance, attribute)
-    b_plain, b_refined = batch_lb_capacity(instance, large, small)
     elig = batch_lb_eligibility(instance, small)
     units = [(j.min_time, j.max_time, j.size) for j in (instance.job(i) for i in sorted(small))]
     b_gac, p_gac = gac_plus(units, instance.max_capacity) if units else (0, 0)
@@ -247,19 +229,12 @@ def attribute_bounds(instance: Instance, attribute: int) -> AttributeBoundDetail
         attribute=attribute,
         large_jobs=large,
         small_jobs=small,
-        b_capacity=b_plain,
-        b_large_small=b_refined,
         b_elig_small=elig.total,
         b_gac_small=b_gac,
         p_large=sum(instance.job(j).min_time for j in large),
         p_elig_small=proc_lb_eligibility(instance, small, elig),
         p_gac_small=p_gac,
     )
-
-
-def combine_overall(details: Sequence[AttributeBoundDetail]) -> tuple[int, int]:
-    """Total batch-count and processing-time bounds over all attributes."""
-    return sum(d.b_best for d in details), sum(d.p_best for d in details)
 
 
 def setup_cost_lb(
@@ -292,27 +267,41 @@ def setup_cost_lb(
     return SetupCostBound(max(before, after), before, after)
 
 
+def late_floor(
+    release: int, proc: int, dues: Sequence[int], machines: Iterable[Machine], setup: int
+) -> int | None:
+    """How many of the sorted dues lie before the batch's earliest end.
+
+    The batch starts no earlier than release and runs for proc, with the
+    setup before it, on whichever of the machines lets it end first
+    (Machine.earliest_start). Returns None when it fits on none of them.
+    """
+    starts = (machine.earliest_start(release, setup, proc) for machine in machines)
+    first = min((start for start in starts if start is not None), default=None)
+    if first is None:
+        return None
+    return bisect_left(dues, first + proc)
+
+
 def tardy_lb(
     instance: Instance, include_min_setup: bool = True
 ) -> tuple[int, frozenset[int]]:
     """Jobs that finish late in every feasible solution.
 
-    Schedules each job alone as early as any eligible machine allows,
-    assuming the smallest conceivable preceding setup (disable via
-    include_min_setup for the weaker, setup-free variant). Raises
-    NoFeasiblePlacement when a job fits nowhere at all.
+    Runs each job alone on its eligible machines that can hold it, after the
+    smallest conceivable setup into its attribute (none with
+    include_min_setup=False, the weaker variant), and flags it when
+    late_floor finds it late on all of them. Raises NoFeasiblePlacement
+    when a job fits nowhere at all.
     """
     flagged = set()
     for job in instance.jobs:
-        best = None
-        for machine_id in sorted(job.eligible):
-            machine = instance.machine(machine_id)
-            completion = earliest_solo_completion(instance, job, machine, include_min_setup)
-            if completion is not None and (best is None or completion < best):
-                best = completion
-        if best is None:
+        machines = [m for m in map(instance.machine, job.eligible) if m.capacity >= job.size]
+        setup = instance.min_setup_time_into(job.attribute) if include_min_setup else 0
+        late = late_floor(job.release, job.min_time, (job.due,), machines, setup)
+        if late is None:
             raise NoFeasiblePlacement(job.id)
-        if best > job.due:
+        if late:
             flagged.add(job.id)
     return len(flagged), frozenset(flagged)
 
@@ -329,7 +318,8 @@ def objective_lb(
     details = tuple(
         attribute_bounds(instance, r) for r in range(1, instance.attribute_count + 1)
     )
-    batches, proc = combine_overall(details)
+    batches = sum(d.b_best for d in details)
+    proc = sum(d.p_best for d in details)
     setup = setup_cost_lb(instance, {d.attribute: d.b_best for d in details}, batches)
     tardy_count, tardy_jobs = tardy_lb(instance, include_min_setup)
     objective = weights.objective(proc, tardy_count, setup.best, instance.n_jobs)

@@ -250,22 +250,6 @@ def errors_only(violations: Iterable[Violation]) -> list[Violation]:
     return [v for v in violations if v.severity == "error"]
 
 
-def earliest_solo_completion(
-    instance: Instance, job: Job, machine: Machine, include_min_setup: bool = True
-) -> int | None:
-    """Earliest completion of the job batched alone on the machine.
-
-    Assumes the smallest conceivable preceding setup; the setup plus
-    processing span must fit inside a single availability window. Returns
-    None when no window of the machine can host the job.
-    """
-    if machine.capacity < job.size:
-        return None
-    st_min = instance.min_setup_time_into(job.attribute) if include_min_setup else 0
-    start = machine.earliest_start(job.release, st_min, job.min_time)
-    return None if start is None else start + job.min_time
-
-
 def validate_instance(instance: Instance) -> list[Violation]:
     """Check all structural invariants; empty result means a usable instance.
 
@@ -337,8 +321,11 @@ def validate_instance(instance: Instance) -> list[Violation]:
         if j.size > max(m.capacity for m in eligible):
             err(entity, "capacity", f"size {j.size} exceeds every eligible capacity")
         elif matrices_ok and j.min_time <= j.max_time and 1 <= j.attribute <= a:
+            st_min = instance.min_setup_time_into(j.attribute)
             fits = any(
-                earliest_solo_completion(instance, j, m) is not None for m in eligible
+                m.capacity >= j.size
+                and m.earliest_start(j.release, st_min, j.min_time) is not None
+                for m in eligible
             )
             if not fits:
                 err(entity, "availability", "fits in no availability window of any eligible machine")

@@ -7,7 +7,8 @@ keeps the cheapest. Each candidate batch (a block) is summarized once
 (schedule.summarize) and may run on the eligible machines where
 schedule.batch_fault finds no fault; a block with no such machine ends the
 batchings that would contain it. Lower bounds from the bounds module can
-prune batchings whose bound already exceeds the incumbent.
+prune batchings whose bound already exceeds the incumbent; each block keeps
+its members that are late wherever it runs, from bounds.late_floor.
 
 Objective comparisons use ObjectiveWeights.score, an integer rescaling of
 the normalized objective, so incumbent updates, tie-breaking and pruning
@@ -21,7 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .bounds import NoFeasiblePlacement, setup_cost_lb, tardy_lb
+from .bounds import NoFeasiblePlacement, late_floor, setup_cost_lb, tardy_lb
 from .model import CostBreakdown, Instance, Machine, ObjectiveWeights, Solution
 from .schedule import BatchSummary, batch_fault, build_schedule, evaluate, summarize
 
@@ -52,13 +53,16 @@ class OracleResult:
 
 
 class _Block(NamedTuple):
-    """A batch of the search: its job ids, their summary (schedule.summarize)
-    and the ids of the eligible machines it may run on, the ones where
-    schedule.batch_fault finds no fault."""
+    """A batch of the search: its job ids, their summary (schedule.summarize),
+    the ids of the eligible machines it may run on, the ones where
+    schedule.batch_fault finds no fault, and its tardy floor: the members
+    late wherever it runs after the smallest setup into its attribute
+    (bounds.late_floor), None when it fits on none of its machines."""
 
     jobs: tuple[int, ...]
     summary: BatchSummary
     machines: tuple[int, ...]
+    tardy_floor: int | None
 
 
 def _make_block(instance: Instance, ids: tuple[int, ...]) -> _Block:
@@ -68,7 +72,11 @@ def _make_block(instance: Instance, ids: tuple[int, ...]) -> _Block:
         for m in sorted(summary.eligible)
         if batch_fault(instance, instance.machine(m), ids, summary) is None
     )
-    return _Block(ids, summary, machines)
+    setup = instance.min_setup_time_into(summary.attribute)
+    floor = late_floor(
+        summary.release, summary.proc, summary.dues, map(instance.machine, machines), setup
+    )
+    return _Block(ids, summary, machines, floor)
 
 
 def _attribute_partitions(
@@ -108,24 +116,6 @@ def _attribute_partitions(
 def _layout_key(layout: Sequence[Sequence[Sequence[int]]]) -> tuple:
     """Canonical encoding used to break ties among equal-cost optima."""
     return tuple(tuple(tuple(sorted(b)) for b in machine) for machine in layout)
-
-
-def _block_tardy_floor(instance: Instance, block: _Block) -> int | None:
-    """Members of the block that are late wherever the whole block runs.
-
-    None when the block fits on none of its machines, so the batching is
-    infeasible.
-    """
-    summary = block.summary
-    st_min = instance.min_setup_time_into(summary.attribute)
-    starts = (
-        instance.machine(m).earliest_start(summary.release, st_min, summary.proc)
-        for m in block.machines
-    )
-    first = min((start for start in starts if start is not None), default=None)
-    if first is None:
-        return None
-    return bisect_left(summary.dues, first + summary.proc)
 
 
 class _MachineOrderSearch:
@@ -260,23 +250,15 @@ def exact_solve(
         blocks = [block_of(ids) for parts in combo for ids in parts]
         proc_fixed = sum(b.summary.proc for b in blocks)
 
-        batching_tardy_floor = global_tardy_floor
-        infeasible_block = False
         if prune_with_lb:
-            blockwise = 0
-            for block in blocks:
-                floor = _block_tardy_floor(instance, block)
-                if floor is None:
-                    infeasible_block = True
-                    break
-                blockwise += floor
-            if infeasible_block:
+            floors = [block.tardy_floor for block in blocks]
+            if None in floors:
                 continue
-            batching_tardy_floor = max(global_tardy_floor, blockwise)
             if best_score is not None:
                 counts = {r + 1: len(parts) for r, parts in enumerate(combo)}
                 setup_floor = setup_cost_lb(instance, counts, len(blocks)).best
-                if weights.score(proc_fixed, batching_tardy_floor, setup_floor) > best_score:
+                tardy_floor = max(global_tardy_floor, sum(floors))
+                if weights.score(proc_fixed, tardy_floor, setup_floor) > best_score:
                     continue
 
         for assignment in itertools.product(*(b.machines for b in blocks)):

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ovensched import (
     Instance,
     Job,
     Machine,
-    batch_lb_capacity,
     batch_lb_eligibility,
     classify_large_small,
     gac_plus,
@@ -15,7 +17,7 @@ from ovensched import (
     proc_lb_eligibility,
     tardy_lb,
 )
-from ovensched.bounds import NoFeasiblePlacement, attribute_bounds, combine_overall, setup_cost_lb
+from ovensched.bounds import NoFeasiblePlacement, attribute_bounds, setup_cost_lb
 
 from conftest import EXAMPLE_OBJECTIVE_LB, tiny_config
 
@@ -27,6 +29,17 @@ def small_jobs(instance, attribute):
 def proc_lb(instance, attribute):
     small = small_jobs(instance, attribute)
     return proc_lb_eligibility(instance, small, batch_lb_eligibility(instance, small))
+
+
+def batch_lb_capacity(instance, large, small):
+    """Reference capacity bounds on an attribute's batch count: plain, and
+    with the large jobs one batch each. b_best never falls below either."""
+    if not large and not small:
+        return 0, 0
+    cap = instance.max_capacity
+    small_total = sum(instance.job(j).size for j in small)
+    plain = math.ceil((sum(instance.job(j).size for j in large) + small_total) / cap)
+    return plain, len(large) + math.ceil(small_total / cap)
 
 
 def test_classify_large_small(example):
@@ -171,11 +184,12 @@ def test_gac_plus_examples():
 
 
 def test_combine_overall(example):
-    details = [attribute_bounds(example, r) for r in (1, 2)]
-    batches, proc = combine_overall(details)
-    assert batches == 8
-    assert proc == 158
-    assert combine_overall([]) == (0, 0)
+    report = objective_lb(example)
+    assert report.batches_lb == sum(d.b_best for d in report.per_attribute) == 8
+    assert report.proc_lb == sum(d.p_best for d in report.per_attribute) == 158
+    empty = Instance(example.machines, (), 2, example.setup_times, example.setup_costs)
+    report = objective_lb(empty)
+    assert (report.batches_lb, report.proc_lb, report.objective_lb) == (0, 0, 0.0)
 
 
 def test_setup_cost_lb(example):
@@ -230,6 +244,52 @@ def test_tardy_lb_no_placement_raises():
         tardy_lb(inst)
 
 
+def _solo_completion(instance, job, machine, include_min_setup):
+    """Earliest end of the job batched alone on the machine, None if it fits nowhere there."""
+    if machine.capacity < job.size:
+        return None
+    st_min = instance.min_setup_time_into(job.attribute) if include_min_setup else 0
+    start = machine.earliest_start(job.release, st_min, job.min_time)
+    return None if start is None else start + job.min_time
+
+
+def _reference_tardy_lb(instance, include_min_setup):
+    flagged = set()
+    for job in instance.jobs:
+        ends = [
+            _solo_completion(instance, job, instance.machine(m), include_min_setup)
+            for m in sorted(job.eligible)
+        ]
+        if min(end for end in ends if end is not None) > job.due:
+            flagged.add(job.id)
+    return len(flagged), frozenset(flagged)
+
+
+# spread: short windows push jobs onto few starts, wide dues make lateness
+# depend on where each job can run
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 14),
+    st.integers(0, 10**6),
+    st.sampled_from(["tiny", "spread"]),
+    st.integers(1, 4),
+    st.integers(1, 3),
+)
+def test_tardy_lb_matches_solo_reference(n_jobs, seed, kind, n_machines, n_attributes):
+    if kind == "tiny":
+        config = tiny_config(n_jobs, seed)
+    else:
+        config = tiny_config(
+            n_jobs, seed, n_machines=n_machines, n_attributes=n_attributes,
+            window_count_range=(1, 4), window_length_range=(0, 40),
+            due_slack_range=(0, 300), setup_time_range=(0, 20),
+        )
+    inst = generate_instance(config)
+    for include_min_setup in (True, False):
+        expected = _reference_tardy_lb(inst, include_min_setup)
+        assert tardy_lb(inst, include_min_setup) == expected
+
+
 def test_objective_lb_golden(example):
     report = objective_lb(example)
     assert report.batches_lb == 8
@@ -266,7 +326,7 @@ def test_dominance_chain_on_random_instances():
             assert eq1 <= eq2
             assert eq2 <= len(detail.large_jobs) + detail.b_elig_small
             assert eq1 <= len(detail.large_jobs) + detail.b_gac_small
-            assert detail.b_best >= detail.b_capacity
+            assert detail.b_best >= eq2
             assert detail.p_best >= 0
 
 
