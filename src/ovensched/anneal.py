@@ -564,8 +564,7 @@ class _Search:
 
 def run_annealing(
     instance: Instance,
-    params: AnnealParams | None = None,
-    weights: ObjectiveWeights | None = None,
+    params: AnnealParams = AnnealParams(),
     lb: BoundReport | None = None,
 ) -> AnnealResult:
     """Anneal from the greedy start and return the best feasible solution.
@@ -577,14 +576,10 @@ def run_annealing(
     percentage gap of lb.objective_lb. The run also stops when no move with
     a positive probability has arguments ("no_moves").
     """
-    if params is None:
-        params = AnnealParams()
-    if weights is None:
-        weights = ObjectiveWeights.for_instance(instance)
     rng = random.Random(params.rng_seed)
     started = time.perf_counter()
 
-    greedy_solution, greedy_cost = construct(instance, weights)
+    greedy_solution, greedy_cost = construct(instance)
     current_obj = greedy_cost.objective
 
     best_layout: Layout | None = None  # None while the greedy start is best
@@ -624,7 +619,7 @@ def run_annealing(
     # the move loops run once per move, so what they call is bound here
     layout, space, evaluate = search.layout, search.space, search.evaluate
     probs, time_limit = params.move_probs, params.time_limit
-    objective, n_jobs = weights.objective, instance.n_jobs
+    objective, n_jobs = ObjectiveWeights.for_instance(instance).objective, instance.n_jobs
     clock, uniform, exp = time.perf_counter, rng.random, math.exp
 
     try:

@@ -306,15 +306,9 @@ def tardy_lb(
     return len(flagged), frozenset(flagged)
 
 
-def objective_lb(
-    instance: Instance,
-    weights: ObjectiveWeights | None = None,
-    include_min_setup: bool = True,
-) -> BoundReport:
+def objective_lb(instance: Instance, include_min_setup: bool = True) -> BoundReport:
     """Compute all component bounds and the aggregated objective bound."""
     start = time.perf_counter()
-    if weights is None:
-        weights = ObjectiveWeights.for_instance(instance)
     details = tuple(
         attribute_bounds(instance, r) for r in range(1, instance.attribute_count + 1)
     )
@@ -322,6 +316,7 @@ def objective_lb(
     proc = sum(d.p_best for d in details)
     setup = setup_cost_lb(instance, {d.attribute: d.b_best for d in details}, batches)
     tardy_count, tardy_jobs = tardy_lb(instance, include_min_setup)
+    weights = ObjectiveWeights.for_instance(instance)
     objective = weights.objective(proc, tardy_count, setup.best, instance.n_jobs)
     return BoundReport(
         per_attribute=details,

@@ -410,10 +410,7 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError) as exc:
+    except (_UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ParseError, ValidationError, InfeasibleSolution, InfeasibleBatch,

@@ -157,17 +157,13 @@ def _start_bounds(
                     yield start
 
 
-def construct(
-    instance: Instance, weights: ObjectiveWeights | None = None
-) -> tuple[Solution, CostBreakdown]:
+def construct(instance: Instance) -> tuple[Solution, CostBreakdown]:
     """Build a feasible schedule with the dispatching rule; also an upper bound.
 
     Raises Unschedulable when some job can never start (the instance
     validator flags such jobs up front, so this only occurs on invalid
     input).
     """
-    if weights is None:
-        weights = ObjectiveWeights.for_instance(instance)
     states = [_MachineState(m, instance.attribute_count) for m in instance.machines]
     tie_order = sorted(states, key=lambda s: (-s.machine.capacity, s.machine.id))
     fits = {
@@ -218,4 +214,6 @@ def construct(
         now = min(upcoming)
 
     solution = Solution(tuple(tuple(s.batches) for s in states))
-    return solution, evaluate(instance, solution, weights, check=False)
+    return solution, evaluate(
+        instance, solution, ObjectiveWeights.for_instance(instance), check=False
+    )

@@ -162,29 +162,30 @@ class Solution:
 
 @dataclass(frozen=True)
 class ObjectiveWeights:
-    """Weights and normalizers of the aggregated objective.
+    """The fixed weights and the per-instance normalizers of the objective.
 
     objective = (w_proc*p/proc_norm + w_setup*sc/setup_norm + w_tardy*t)
                 / (n * (w_proc + w_tardy + w_setup))
+
+    The weights are class constants; only the normalizers vary, and
+    for_instance derives them.
     """
 
-    w_proc: int = 4
-    w_tardy: int = 100
-    w_setup: int = 1
+    w_proc = 4
+    w_tardy = 100
+    w_setup = 1
+    weight_sum = w_proc + w_tardy + w_setup
+
     proc_norm: int = 1
     setup_norm: int = 1
 
     def __post_init__(self) -> None:
-        if min(self.w_proc, self.w_tardy, self.w_setup) < 0:
-            raise ValueError("weights must be non-negative")
-        if self.w_proc + self.w_tardy + self.w_setup <= 0:
-            raise ValueError("at least one weight must be positive")
         if self.proc_norm < 1 or self.setup_norm < 1:
             raise ValueError("normalizers must be positive")
 
     @classmethod
     def for_instance(cls, instance: Instance) -> "ObjectiveWeights":
-        """The default weights with normalizers derived from the instance.
+        """The objective of the instance: the fixed weights with its normalizers.
 
         proc_norm is the mean minimal processing time rounded up; setup_norm is
         the largest setup-cost entry (1 when the matrix is all zero).
@@ -195,10 +196,6 @@ class ObjectiveWeights:
             proc_norm = 1
         setup_norm = max((c for row in instance.setup_costs for c in row), default=0)
         return cls(proc_norm=max(1, proc_norm), setup_norm=max(1, setup_norm))
-
-    @property
-    def weight_sum(self) -> int:
-        return self.w_proc + self.w_tardy + self.w_setup
 
     def score(self, proc_time: int, tardy: int, setup_cost: int) -> int:
         """The objective's weighted sum times proc_norm*setup_norm, as an integer.

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .bounds import NoFeasiblePlacement, late_floor, setup_cost_lb, tardy_lb
 from .model import CostBreakdown, Instance, Machine, ObjectiveWeights, Solution
@@ -81,36 +81,32 @@ def _make_block(instance: Instance, ids: tuple[int, ...]) -> _Block:
 
 def _attribute_partitions(
     instance: Instance, attribute: int, block_of: Callable[[tuple[int, ...]], _Block]
-) -> list[tuple[tuple[int, ...], ...]]:
+) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All batchings of one attribute's jobs into feasible blocks.
 
     Blocks are pruned while growing: each must have a machine to run on
-    (block_of(ids).machines). Partitions are generated in restricted-growth
-    order, so the result is deterministic and duplicate-free.
+    (block_of(ids).machines). Partitions are generated lazily in
+    restricted-growth order, so the sequence is deterministic and
+    duplicate-free, and the caller's node budget bounds the work.
     """
     jobs = sorted(j.id for j in instance.jobs_with_attribute(attribute))
-    if not jobs:
-        return [()]
 
-    partitions: list[tuple[tuple[int, ...], ...]] = []
-
-    def grow(index: int, blocks: list[list[int]]) -> None:
+    def grow(index: int, blocks: list[list[int]]) -> Iterator[tuple[tuple[int, ...], ...]]:
         if index == len(jobs):
-            partitions.append(tuple(tuple(b) for b in blocks))
+            yield tuple(tuple(b) for b in blocks)
             return
         job_id = jobs[index]
         for block in blocks:
             block.append(job_id)
             if block_of(tuple(block)).machines:
-                grow(index + 1, blocks)
+                yield from grow(index + 1, blocks)
             block.pop()
         blocks.append([job_id])
         if block_of((job_id,)).machines:
-            grow(index + 1, blocks)
+            yield from grow(index + 1, blocks)
         blocks.pop()
 
-    grow(0, [])
-    return partitions
+    return grow(0, [])
 
 
 def _layout_key(layout: Sequence[Sequence[Sequence[int]]]) -> tuple:
@@ -130,7 +126,6 @@ class _MachineOrderSearch:
 
     def __init__(self, instance: Instance, weights: ObjectiveWeights, budget: int):
         self.instance = instance
-        self.weights = weights
         self.budget = budget
         self.nodes = 0
         self.cache: dict[tuple, tuple | None] = {}
@@ -199,10 +194,7 @@ class _MachineOrderSearch:
 
 
 def exact_solve(
-    instance: Instance,
-    weights: ObjectiveWeights | None = None,
-    limits: OracleLimits | None = None,
-    prune_with_lb: bool = True,
+    instance: Instance, limits: OracleLimits = OracleLimits(), prune_with_lb: bool = True
 ) -> OracleResult:
     """Find the minimum-objective feasible schedule by exhaustive search.
 
@@ -210,11 +202,9 @@ def exact_solve(
     canonical layout. With prune_with_lb, batchings whose lower bound
     (fixed processing time, setup-cost bound, necessarily-tardy members)
     strictly exceeds the incumbent are cut, which never changes the result.
+    Every batching, assignment and order step spends one node of
+    limits.node_budget, so the budget bounds the whole search.
     """
-    if weights is None:
-        weights = ObjectiveWeights.for_instance(instance)
-    if limits is None:
-        limits = OracleLimits()
     if instance.n_jobs > limits.max_jobs:
         raise BudgetExceeded(
             f"instance has {instance.n_jobs} jobs, oracle limited to {limits.max_jobs}"
@@ -225,6 +215,7 @@ def exact_solve(
     except NoFeasiblePlacement as exc:
         raise Infeasible(str(exc)) from exc
 
+    weights = ObjectiveWeights.for_instance(instance)
     machine_index = {m.id: idx for idx, m in enumerate(instance.machines)}
     search = _MachineOrderSearch(instance, weights, limits.node_budget)
 
@@ -240,12 +231,17 @@ def exact_solve(
             block_cache[ids] = _make_block(instance, ids)
         return block_cache[ids]
 
-    per_attribute = [
-        _attribute_partitions(instance, r, block_of)
-        for r in range(1, instance.attribute_count + 1)
-    ]
+    def batchings(attribute: int):
+        # the per-attribute batchings in itertools.product order, each
+        # attribute's regenerated per prefix so that none are held in memory
+        if attribute > instance.attribute_count:
+            yield ()
+            return
+        for parts in _attribute_partitions(instance, attribute, block_of):
+            for rest in batchings(attribute + 1):
+                yield (parts, *rest)
 
-    for combo in itertools.product(*per_attribute):
+    for combo in batchings(1):
         search._spend()
         blocks = [block_of(ids) for parts in combo for ids in parts]
         proc_fixed = sum(b.summary.proc for b in blocks)

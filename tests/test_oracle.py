@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -111,6 +112,26 @@ def test_oracle_respects_limits(example):
         exact_solve(example, limits=OracleLimits(max_jobs=10, node_budget=50))
 
 
+def test_node_budget_bounds_the_batching_enumeration():
+    # ten unit jobs that fit one batch have Bell(10) = 115975 batchings;
+    # the budget must stop the search long before they could all be built
+    inst = Instance(
+        machines=(Machine(1, 10, 1, ((0, 1000),)),),
+        jobs=tuple(Job(i, 1, 1, 0, 1000, 1, 1, frozenset({1})) for i in range(1, 11)),
+        attribute_count=1,
+        setup_times=((0,),),
+        setup_costs=((0,),),
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            exact_solve(inst, limits=OracleLimits(max_jobs=10, node_budget=100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_oracle_infeasible():
     # two jobs forced on one machine whose lone window only fits one of them
     inst = Instance(
@@ -190,6 +211,7 @@ def test_monotonicity_of_cover_under_removal():
         (19, (163, 2, 61), 33924, 33924,
          "f65bc2dc1491ba5b5965ecec40361afb78090617b4b3702b2c4d1454774afa99"),
     ],
+    ids=[f"item{i}" for i in range(20)],
 )
 def test_pinned_optima(index, components, pruned_nodes, unpruned_nodes, digest):
     instance = generate_instance(tiny_config(6 + index % 4, 30000 + index))
