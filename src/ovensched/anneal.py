@@ -19,7 +19,10 @@ are discarded. Batch objects are built only for the returned best
 solution. What sample_move draws from (MoveSpace: jobs per row, the rows
 of two batches or more, the batch and job counts, each job's eligible
 machine indices) is kept with the layout and counted again only for the
-rows an accepted move changed, so a draw does not scan the layout.
+rows an accepted move changed, so a draw does not scan the layout. The
+warm-up that calibrates the start temperature leaves the layout as it is,
+so a warm-up move drawn again reuses the delta of its first draw; every
+move is still drawn, so the random stream is that of a run without reuse.
 
 The rejoin rule. A batch is rigid when it starts exactly at its
 predecessor's end plus the setup time. If the predecessor of a rigid batch
@@ -496,7 +499,10 @@ class _Search:
 
     def locate(self, job_id: int) -> tuple[int, int]:
         m = self.row_of[job_id]
-        return m, next(b for b, batch in enumerate(self.layout[m]) if job_id in batch)
+        for b, batch in enumerate(self.layout[m]):
+            if job_id in batch:
+                return m, b
+        raise ValueError(f"job {job_id} not in machine row {m}")
 
     def edit_rows(self, move: Move) -> dict[int, _RowEdit] | None:
         """The rows a move edits, by machine index.
@@ -571,8 +577,10 @@ def run_annealing(
 
     The initial temperature is calibrated from a warm-up pass of random
     moves around the start solution so that the initial acceptance ratio
-    approximates params.accepted_ratio. When `lb` and params.lb_gap_stop are
-    given, the search stops as soon as the best objective is within that
+    approximates params.accepted_ratio. The warm-up accepts no move, so a
+    warm-up move drawn again reuses the |delta| of its first draw instead
+    of being evaluated again. When `lb` and params.lb_gap_stop are given,
+    the search stops as soon as the best objective is within that
     percentage gap of lb.objective_lb. The run also stops when no move with
     a positive probability has arguments ("no_moves").
     """
@@ -623,14 +631,20 @@ def run_annealing(
     clock, uniform, exp = time.perf_counter, rng.random, math.exp
 
     try:
-        # warm-up: average |delta| of random moves around the start solution
-        deltas = []
+        # warm-up: average |delta| of random moves around the start solution;
+        # seen maps each move drawn so far to its |delta|, None when infeasible
+        deltas, seen, unseen = [], {}, object()
         for _ in range(params.warmup_moves):
             if clock() - started >= time_limit:
                 return finish("time")
-            outcome = evaluate(sample_move(instance, layout, rng, probs, space))
-            if outcome is not None:
-                deltas.append(abs(objective(*outcome[1], n_jobs) - current_obj))
+            move = sample_move(instance, layout, rng, probs, space)
+            delta = seen.get(move, unseen)
+            if delta is unseen:
+                outcome = evaluate(move)
+                delta = None if outcome is None else abs(objective(*outcome[1], n_jobs) - current_obj)
+                seen[move] = delta
+            if delta is not None:
+                deltas.append(delta)
         mean_delta = sum(deltas) / len(deltas) if deltas else 0.0
         if mean_delta > 0:
             temperature = -mean_delta / math.log(params.accepted_ratio)

@@ -33,6 +33,7 @@ from ovensched import (
     run_annealing,
     sample_move,
 )
+from ovensched import anneal
 from ovensched.anneal import NoMoveAvailable, _materialize, _Search
 from ovensched.schedule import machine_cost, schedule_machine, summarize
 
@@ -237,6 +238,16 @@ def test_sample_move_rejects_empty_ranges(example):
     instance = replace(example, jobs=(*example.jobs[:2], no_machine, *example.jobs[3:]))
     with pytest.raises(ValueError, match="eligible machine"):
         sample_move(instance, [[[1]], [[3]]], random.Random(0))
+
+
+def test_move_kinds_are_distinct_keys():
+    # the warm-up keys deltas on moves: moves of two kinds with equal fields
+    # must differ (NamedTuples would compare equal), equal moves must not
+    assert MoveJob(1, 2, 3) != MoveJobNewBatch(1, 2, 3)
+    keys = {SwapBatches(1, 2): 0, ReinsertBatch(1, 2, 3): 1, MoveJob(1, 2, 3): 2}
+    keys[MoveJobNewBatch(1, 2, 3)] = 3
+    assert len(keys) == 4
+    assert keys[MoveJob(1, 2, 3)] == 2
 
 
 def test_run_without_moves_stops_with_no_moves():
@@ -629,3 +640,27 @@ def test_rigid_shift_rejoin_saves_kernel_calls(monkeypatch):
     result = run_annealing(instance, params)
     assert result.cost == CostBreakdown(19094, 463, 2172, 0.9099515646258504)
     assert calls <= 50_000
+
+
+def test_warmup_evaluates_each_distinct_move_once(monkeypatch):
+    # final_temp=1.0 lies above any calibrated start temperature, so no
+    # cooling level runs and every evaluation belongs to the warm-up
+    instance, _ = _criterion_7_item(1)
+    drawn, evaluated = [], 0
+    draw, evaluate = anneal.sample_move, _Search.evaluate
+
+    def counted_draw(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    def counted_evaluate(self, move):
+        nonlocal evaluated
+        evaluated += 1
+        return evaluate(self, move)
+
+    monkeypatch.setattr(anneal, "sample_move", counted_draw)
+    monkeypatch.setattr(_Search, "evaluate", counted_evaluate)
+    result = run_annealing(instance, AnnealParams(warmup_moves=1000, final_temp=1.0))
+    assert result.stop_reason == "final_temp"
+    assert len(drawn) == 1000
+    assert evaluated == len(set(drawn)) < 1000
