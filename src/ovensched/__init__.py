@@ -12,7 +12,6 @@ from .anneal import (
     Move,
     MoveJob,
     MoveJobNewBatch,
-    NoMoveAvailable,
     ReinsertBatch,
     SwapBatches,
     run_annealing,

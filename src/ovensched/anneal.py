@@ -4,7 +4,10 @@ Four neighborhood moves (swap consecutive batches, reinsert a batch, move a
 job into an existing batch, move a job into a new batch), geometric cooling,
 Metropolis acceptance on the normalized objective, and stopping on final
 temperature, wall-clock limit, or a relative gap to a supplied lower bound.
-Starts from the greedy construction. Moves are evaluated incrementally:
+The move mix (MOVE_PROBS) and the start temperature's target acceptance
+ratio (ACCEPTED_RATIO) are tuned constants. Starts from the greedy
+construction; a job-less instance has no move and stops there. Moves are
+evaluated incrementally:
 each batch of the current layout carries a summary of its jobs
 (schedule.summarize), made once when a move creates the batch, and each
 machine row keeps its schedule state per position. The edit that makes a
@@ -71,20 +74,23 @@ from .schedule import (
 )
 
 
+# Tuned once: the move mix over (swap consecutive batches, reinsert batch,
+# move job, move job to new batch), and the share of warm-up moves that the
+# start temperature would accept.
+MOVE_PROBS = (0.090, 0.293, 0.328, 0.289)
+ACCEPTED_RATIO = 0.309
+
+
 @dataclass(frozen=True)
 class AnnealParams:
-    """Cooling schedule, move mix and stopping rules.
+    """Cooling schedule and stopping rules.
 
-    The numeric defaults are tuned values; move_probs orders the moves as
-    (swap consecutive batches, reinsert batch, move job, move job to new
-    batch) and is renormalized before use. moves_per_level=0 means 50 times
+    The numeric defaults are tuned values. moves_per_level=0 means 50 times
     the job count.
     """
 
     final_temp: float = 0.004
     cooling_rate: float = 0.988
-    accepted_ratio: float = 0.309
-    move_probs: tuple[float, float, float, float] = (0.090, 0.293, 0.328, 0.289)
     time_limit: float = 360.0
     lb_gap_stop: float | None = None
     rng_seed: int = 1
@@ -94,21 +100,15 @@ class AnnealParams:
     def __post_init__(self) -> None:
         # NaN fails every comparison, so without the finiteness checks it
         # would slip past the range checks and switch the search off
-        floats = (self.final_temp, self.time_limit, *self.move_probs)
+        floats = (self.final_temp, self.time_limit)
         if self.lb_gap_stop is not None:
             floats += (self.lb_gap_stop,)
         if not all(map(math.isfinite, floats)):
-            raise ValueError(
-                "final_temp, time_limit, lb_gap_stop and move_probs must be finite"
-            )
+            raise ValueError("final_temp, time_limit and lb_gap_stop must be finite")
         if not 0 < self.cooling_rate < 1:
             raise ValueError("cooling_rate must be in (0, 1)")
         if self.final_temp <= 0:
             raise ValueError("final_temp must be positive")
-        if not 0 < self.accepted_ratio < 1:
-            raise ValueError("accepted_ratio must be in (0, 1)")
-        if len(self.move_probs) != 4 or min(self.move_probs) < 0 or sum(self.move_probs) <= 0:
-            raise ValueError("move_probs must be four non-negative values with positive sum")
         if self.time_limit < 0:
             raise ValueError("time_limit must be non-negative")
         if self.moves_per_level < 0 or self.warmup_moves < 0:
@@ -135,10 +135,6 @@ class AnnealResult:
     cost: CostBreakdown
     trace: tuple[TracePoint, ...]
     stop_reason: str  # "final_temp", "time", "gap" or "no_moves"
-
-
-class NoMoveAvailable(Exception):
-    """No neighborhood move has a non-empty argument space."""
 
 
 @dataclass(frozen=True)
@@ -201,7 +197,8 @@ class MoveSpace:
     row_jobs[m] counts the jobs of machine row m, multi_batch lists the rows
     of two batches or more in machine order, batches and jobs count the
     layout's batches and jobs, and eligible[job id] holds the indices of the
-    job's eligible machines in increasing machine-id order.
+    job's eligible machines in increasing machine-id order. A layout without
+    jobs has no move, so it is rejected with a ValueError.
     """
 
     row_jobs: list[int]
@@ -213,9 +210,12 @@ class MoveSpace:
     def __init__(self, instance: Instance, layout: Layout):
         index = {machine.id: m for m, machine in enumerate(instance.machines)}
         self.eligible = {j.id: tuple(index[i] for i in sorted(j.eligible)) for j in instance.jobs}
-        if not all(self.eligible.values()) or any(not batch for row in layout for batch in row):
+        empty_batch = any(not batch for row in layout for batch in row)
+        if not all(self.eligible.values()) or empty_batch or not any(layout):
             # sample_move would draw from an empty range, which never ends
-            raise ValueError("every job needs an eligible machine and every batch a job")
+            raise ValueError(
+                "the layout needs a job, every job an eligible machine and every batch a job"
+            )
         self.row_jobs = [0] * len(layout)
         self.recount(layout, range(len(layout)))
 
@@ -228,35 +228,23 @@ class MoveSpace:
         self.jobs = sum(self.row_jobs)
 
 
-def sample_move(
-    instance: Instance,
-    layout: Layout,
-    rng: random.Random,
-    probs: tuple[float, float, float, float] = AnnealParams.move_probs,
-    space: MoveSpace | None = None,
-) -> Move:
-    """Draw a move kind by probability, then uniform arguments.
+def sample_move(layout: Layout, rng: random.Random, space: MoveSpace) -> Move:
+    """Draw a move kind by MOVE_PROBS, then uniform arguments.
 
-    Kinds whose argument space is empty are excluded from the draw (the
-    distribution is the same as resampling until a usable kind comes up).
-    Jobs and batches are drawn by their index in layout order, and a job
-    moves into any batch but its own. space is the layout's MoveSpace,
-    counted here when not given (a ValueError when a job has no eligible
-    machine or a batch no job). Raises NoMoveAvailable when no kind has
-    arguments.
+    space is the layout's MoveSpace. Kinds whose argument space is empty are
+    excluded from the draw (the distribution is the same as resampling until
+    a usable kind comes up); a move into a new batch always has arguments,
+    as the layout has a job. Jobs and batches are drawn by their index in
+    layout order, and a job moves into any batch but its own.
     """
-    if space is None:
-        space = MoveSpace(instance, layout)
     multi_batch, total_batches, total_jobs = space.multi_batch, space.batches, space.jobs
     weights = (
-        probs[0] if multi_batch else 0.0,
-        probs[1] if multi_batch else 0.0,
-        probs[2] if total_batches >= 2 else 0.0,
-        probs[3] if total_jobs > 0 else 0.0,
+        MOVE_PROBS[0] if multi_batch else 0.0,
+        MOVE_PROBS[1] if multi_batch else 0.0,
+        MOVE_PROBS[2] if total_batches >= 2 else 0.0,
+        MOVE_PROBS[3],
     )
     total = sum(weights)
-    if total <= 0:
-        raise NoMoveAvailable("every move's argument space is empty")
     draw = rng.random() * total
     kind = 0
     acc = 0.0
@@ -577,12 +565,12 @@ def run_annealing(
 
     The initial temperature is calibrated from a warm-up pass of random
     moves around the start solution so that the initial acceptance ratio
-    approximates params.accepted_ratio. The warm-up accepts no move, so a
-    warm-up move drawn again reuses the |delta| of its first draw instead
-    of being evaluated again. When `lb` and params.lb_gap_stop are given,
-    the search stops as soon as the best objective is within that
-    percentage gap of lb.objective_lb. The run also stops when no move with
-    a positive probability has arguments ("no_moves").
+    approximates ACCEPTED_RATIO. The warm-up accepts no move, so a warm-up
+    move drawn again reuses the |delta| of its first draw instead of being
+    evaluated again. When `lb` and params.lb_gap_stop are given, the search
+    stops as soon as the best objective is within that percentage gap of
+    lb.objective_lb. A job-less instance has no move: it returns the greedy
+    solution before the search starts ("no_moves").
     """
     rng = random.Random(params.rng_seed)
     started = time.perf_counter()
@@ -626,57 +614,53 @@ def run_annealing(
     search = _Search(instance, greedy_solution.layout())
     # the move loops run once per move, so what they call is bound here
     layout, space, evaluate = search.layout, search.space, search.evaluate
-    probs, time_limit = params.move_probs, params.time_limit
+    time_limit = params.time_limit
     objective, n_jobs = ObjectiveWeights.for_instance(instance).objective, instance.n_jobs
     clock, uniform, exp = time.perf_counter, rng.random, math.exp
 
-    try:
-        # warm-up: average |delta| of random moves around the start solution;
-        # seen maps each move drawn so far to its |delta|, None when infeasible
-        deltas, seen, unseen = [], {}, object()
-        for _ in range(params.warmup_moves):
-            if clock() - started >= time_limit:
+    # warm-up: average |delta| of random moves around the start solution;
+    # seen maps each move drawn so far to its |delta|, None when infeasible
+    deltas, seen, unseen = [], {}, object()
+    for _ in range(params.warmup_moves):
+        if clock() - started >= time_limit:
+            return finish("time")
+        move = sample_move(layout, rng, space)
+        delta = seen.get(move, unseen)
+        if delta is unseen:
+            outcome = evaluate(move)
+            delta = None if outcome is None else abs(objective(*outcome[1], n_jobs) - current_obj)
+            seen[move] = delta
+        if delta is not None:
+            deltas.append(delta)
+    mean_delta = sum(deltas) / len(deltas) if deltas else 0.0
+    if mean_delta > 0:
+        temperature = -mean_delta / math.log(ACCEPTED_RATIO)
+    else:
+        temperature = params.final_temp
+
+    moves_per_level = params.moves_per_level or 50 * instance.n_jobs
+
+    while temperature > params.final_temp:
+        for _ in range(moves_per_level):
+            now = clock() - started
+            if now >= time_limit:
                 return finish("time")
-            move = sample_move(instance, layout, rng, probs, space)
-            delta = seen.get(move, unseen)
-            if delta is unseen:
-                outcome = evaluate(move)
-                delta = None if outcome is None else abs(objective(*outcome[1], n_jobs) - current_obj)
-                seen[move] = delta
-            if delta is not None:
-                deltas.append(delta)
-        mean_delta = sum(deltas) / len(deltas) if deltas else 0.0
-        if mean_delta > 0:
-            temperature = -mean_delta / math.log(params.accepted_ratio)
-        else:
-            temperature = params.final_temp
-
-        moves_per_level = params.moves_per_level or 50 * instance.n_jobs
-
-        while temperature > params.final_temp:
-            for _ in range(moves_per_level):
-                now = clock() - started
-                if now >= time_limit:
-                    return finish("time")
-                move = sample_move(instance, layout, rng, probs, space)
-                outcome = evaluate(move)
-                if outcome is None:
-                    continue
-                edits, totals = outcome
-                new_obj = objective(*totals, n_jobs)
-                delta = new_obj - current_obj
-                if delta <= 0 or uniform() < exp(-delta / temperature):
-                    search.accept(move, edits, totals)
-                    current_obj = new_obj
-                    if new_obj < best_cost.objective:
-                        best_layout = list(layout)
-                        best_cost = CostBreakdown(*totals, new_obj)
-                        trace.append(TracePoint(now, best_cost))
-                        if gap_reached(best_cost):
-                            return finish("gap")
-            temperature *= params.cooling_rate
-    except NoMoveAvailable:
-        # no move kind with a positive probability has arguments in the layout
-        return finish("no_moves")
+            move = sample_move(layout, rng, space)
+            outcome = evaluate(move)
+            if outcome is None:
+                continue
+            edits, totals = outcome
+            new_obj = objective(*totals, n_jobs)
+            delta = new_obj - current_obj
+            if delta <= 0 or uniform() < exp(-delta / temperature):
+                search.accept(move, edits, totals)
+                current_obj = new_obj
+                if new_obj < best_cost.objective:
+                    best_layout = list(layout)
+                    best_cost = CostBreakdown(*totals, new_obj)
+                    trace.append(TracePoint(now, best_cost))
+                    if gap_reached(best_cost):
+                        return finish("gap")
+        temperature *= params.cooling_rate
 
     return finish("final_temp")

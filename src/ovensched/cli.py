@@ -68,8 +68,21 @@ def _map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _read_document(path: str) -> str:
+    """An instance or solution file's text; bytes that are not UTF-8 are a
+    ParseError on their line. Lines are numbered with splitlines, as the
+    parsers do, which also ends a line at a bare '\\r' or '\\r\\n'."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # "x" stands for the bad byte, so a line break just before it counts
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(line, "UTF-8 text") from None
+
+
 def _load_instance(path: str) -> Instance:
-    return parse_instance(Path(path).read_text(encoding="utf-8"))
+    return parse_instance(_read_document(path))
 
 
 def _cost_text(cost: CostBreakdown) -> str:
@@ -254,7 +267,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    solution = parse_solution(Path(args.solution).read_text(encoding="utf-8"), instance)
+    solution = parse_solution(_read_document(args.solution), instance)
     violations = check_feasibility(instance, solution)
     if violations:
         for violation in violations:

@@ -16,7 +16,6 @@ from ovensched import (
     GeneratorConfig,
     InfeasibleBatch,
     Instance,
-    Job,
     Machine,
     MoveJob,
     MoveJobNewBatch,
@@ -34,7 +33,7 @@ from ovensched import (
     sample_move,
 )
 from ovensched import anneal
-from ovensched.anneal import NoMoveAvailable, _materialize, _Search
+from ovensched.anneal import MoveSpace, _materialize, _Search
 from ovensched.schedule import machine_cost, schedule_machine, summarize
 
 from conftest import EXAMPLE_OBJECTIVE_LB, schedule_digest, tiny_config
@@ -134,11 +133,9 @@ def edited_layout(search, move):
         dict(final_temp=math.inf),
         dict(time_limit=math.nan),
         dict(time_limit=math.inf),
-        dict(move_probs=(0.5, math.nan, 0.2, 0.3)),
         dict(lb_gap_stop=math.nan),
         dict(lb_gap_stop=-5.0),
         dict(cooling_rate=math.nan),
-        dict(accepted_ratio=math.nan),
     ],
 )
 def test_params_that_switch_the_search_off_are_rejected(bad):
@@ -147,15 +144,14 @@ def test_params_that_switch_the_search_off_are_rejected(bad):
 
 
 def test_forced_swap_on_two_batch_machine():
+    # machine 0 holds the only pair of consecutive batches
     layout = [[[1], [2]], []]
-    rng = random.Random(0)
-    move = None
     inst = generate_instance(tiny_config(2, 99))
-    # force the swap kind: other kinds get probability zero
-    for _ in range(5):
-        move = sample_move(inst, layout, rng, probs=(1.0, 0.0, 0.0, 0.0))
-        assert move == SwapBatches(machine=0, position=0)
-    new_layout = apply_move(inst, layout, move)
+    space, rng = MoveSpace(inst, layout), random.Random(0)
+    moves = [sample_move(layout, rng, space) for _ in range(200)]
+    swaps = [move for move in moves if isinstance(move, SwapBatches)]
+    assert swaps and set(swaps) == {SwapBatches(machine=0, position=0)}
+    new_layout = apply_move(inst, layout, swaps[0])
     assert new_layout[0] == [[2], [1]]
 
 
@@ -165,7 +161,7 @@ def test_moves_preserve_partition(example):
     expected = partition_ids(search.layout)
     applied = 0
     for _ in range(600):
-        move = sample_move(example, search.layout, rng)
+        move = sample_move(search.layout, rng, search.space)
         new_layout = edited_layout(search, move)
         assert new_layout == apply_move(example, search.layout, move)
         outcome = search.evaluate(move)
@@ -224,20 +220,21 @@ def test_move_job_passes_cheap_checks_and_reschedules(example):
 
 
 def test_no_move_available():
+    # a move into a new batch has arguments in any layout with a job
     inst = generate_instance(tiny_config(1, 5))
-    with pytest.raises(NoMoveAvailable):
-        sample_move(inst, [[], []], random.Random(0))
+    with pytest.raises(ValueError, match="needs a job"):
+        MoveSpace(inst, [[], []])
 
 
 def test_sample_move_rejects_empty_ranges(example):
     # an empty batch or a job without an eligible machine leaves a draw
     # with nothing to draw from
     with pytest.raises(ValueError, match="every batch a job"):
-        sample_move(example, [[[1], []], []], random.Random(0))
+        MoveSpace(example, [[[1], []], []])
     no_machine = replace(example.job(3), eligible=frozenset())
     instance = replace(example, jobs=(*example.jobs[:2], no_machine, *example.jobs[3:]))
     with pytest.raises(ValueError, match="eligible machine"):
-        sample_move(instance, [[[1]], [[3]]], random.Random(0))
+        MoveSpace(instance, [[[1]], [[3]]])
 
 
 def test_move_kinds_are_distinct_keys():
@@ -250,19 +247,14 @@ def test_move_kinds_are_distinct_keys():
     assert keys[MoveJob(1, 2, 3)] == 2
 
 
-def test_run_without_moves_stops_with_no_moves():
-    # one single-job batch per machine leaves no pair of batches to swap,
-    # the only move kind with a positive probability
+def test_run_on_jobless_instance_stops_with_no_moves():
+    # the only layout without a move is one without jobs
     machines = (Machine(1, 10, 1, ((0, 100),)), Machine(2, 10, 1, ((0, 100),)))
-    jobs = (
-        Job(1, 1, 5, 0, 50, 10, 10, frozenset({1})),
-        Job(2, 1, 5, 0, 50, 10, 10, frozenset({2})),
-    )
-    inst = Instance(machines, jobs, 1, ((0,),), ((0,),))
+    inst = Instance(machines, (), 1, ((0,),), ((0,),))
     greedy_solution, greedy_cost = construct(inst)
-    assert greedy_solution.layout() == [[[1]], [[2]]]
-    result = run_annealing(inst, AnnealParams(move_probs=(1.0, 0.0, 0.0, 0.0)))
+    result = run_annealing(inst)
     assert result.stop_reason == "no_moves"
+    assert result.solution == greedy_solution
     assert result.cost == greedy_cost
     assert [p.cost for p in result.trace] == [greedy_cost, greedy_cost]
 
@@ -410,9 +402,10 @@ def _walk(instance, walk_seed, moves, events):
     Every feasible row edit is materialized as accept would do it and
     compared with schedule_machine/machine_cost; every position where the
     rescheduling passed the old tail is checked against _slide_fault. A
-    sampled move must be the one sample_move draws from the same random
-    state when it counts the layout itself. After each accept every row and
-    the MoveSpace must equal a rebuild from scratch, and the ranges of the
+    move sampled from the kept MoveSpace must be the one sample_move draws
+    from the same random state with a MoveSpace counted afresh from the
+    layout. After each accept every row and the MoveSpace must equal a
+    rebuild from scratch, and the ranges of the
     rows it changed must be exact. events counts rejoins by their
     offset's sign and refused slides by reason.
     """
@@ -423,8 +416,8 @@ def _walk(instance, walk_seed, moves, events):
         if rng.random() < 0.8:
             twin = random.Random()
             twin.setstate(rng.getstate())
-            move = sample_move(instance, search.layout, rng, space=search.space)
-            assert sample_move(instance, search.layout, twin) == move
+            move = sample_move(search.layout, rng, search.space)
+            assert sample_move(search.layout, twin, MoveSpace(instance, search.layout)) == move
             assert twin.getstate() == rng.getstate()
         else:
             move = _any_move(instance, search.layout, rng)

@@ -281,6 +281,58 @@ def test_bad_instance_exits_2(capsys, tmp_path):
         assert "infeasible" in err
 
 
+def test_non_utf8_input_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.osp"
+    good = EXAMPLE_PATH.read_bytes()
+    for data, line in ((b"\xff" + good, 1), (good.replace(b"jobs 10", b"jobs \xe910"), 4)):
+        bad.write_bytes(data)
+        code, out, err = run(capsys, "bounds", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"infeasible: line {line}: expected UTF-8 text\n"
+    # a Windows line end before the bad byte counts as one line break
+    bad.write_bytes(good.replace(b"\n", b"\r\n").replace(b"jobs 10", b"jobs \xe910"))
+    assert run(capsys, "bounds", str(bad))[2] == "infeasible: line 4: expected UTF-8 text\n"
+    solution = tmp_path / "g.sol"
+    run(capsys, "greedy", EXAMPLE, "--solution", str(solution))
+    solution.write_bytes(solution.read_bytes().replace(b"machine 2", b"machine \xc0"))
+    code, _, err = run(capsys, "evaluate", EXAMPLE, str(solution))
+    assert code == 2
+    assert err.startswith("infeasible: line ") and err.endswith(": expected UTF-8 text\n")
+    # a generator config is not a document: bad bytes there stay a usage error
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"n_jobs": 5, "seed": \xff}')
+    code, _, err = run(capsys, "generate", "--config", str(config), "-o", str(tmp_path / "x"))
+    assert code == 1
+    assert err.startswith("error: ")
+
+
+JOBLESS = (
+    "osp-instance v1\nmachines 1\njobs 0\nattributes 1\nsetup-times\n0\nsetup-costs\n0\n"
+    "machine 1 capacity 10 initial-attribute 1 windows 0..100\n"
+)
+
+
+def test_jobless_instance_end_to_end(capsys, tmp_path):
+    instance, solution = tmp_path / "empty.osp", tmp_path / "empty.sol"
+    instance.write_text(JOBLESS)
+    for argv in (
+        ["bounds", str(instance)],
+        ["greedy", str(instance), "--solution", str(solution)],
+        ["evaluate", str(instance), str(solution)],
+        ["oracle", str(instance)],
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert "objective 0.000000" in out or "objective_lb 0.000000" in out
+    code, out, _ = run(capsys, "anneal", str(instance), "--replicates", "1", "--workers", "1")
+    assert code == 0
+    assert "replicate seed 1 stop no_moves cost proc 0 tardy 0 setup 0 objective 0.000000\n" in out
+    code, out, _ = run(capsys, "bench", str(tmp_path), "--replicates", "1", "--workers", "1")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["method"] for r in rows] == ["bounds", "greedy", "anneal"]
+
+
 def test_help_exits_zero(capsys):
     assert dispatch(["--help"]) == 0
     capsys.readouterr()
