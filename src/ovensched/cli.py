@@ -340,12 +340,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _add_anneal_flags(p: argparse.ArgumentParser) -> None:
     """The flags that anneal and bench share."""
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--time-limit", type=float, default=360.0)
+    p.add_argument("--seed", type=int, default=AnnealParams.rng_seed)
+    p.add_argument("--time-limit", type=float, default=AnnealParams.time_limit)
     p.add_argument("--lb-gap-stop", type=float, default=None,
                    help="stop when the gap to the lower bound reaches this percentage")
     p.add_argument("--replicates", type=int, default=10)
-    p.add_argument("--moves-per-level", type=int, default=0,
+    p.add_argument("--moves-per-level", type=int, default=AnnealParams.moves_per_level,
                    help="moves per temperature level (0 = 50 per job)")
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                    help="worker processes, at most one per task (default: CPU count)")
@@ -380,8 +380,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="solve a tiny instance exactly")
     p.add_argument("instance")
     p.add_argument("--no-prune", action="store_true", help="disable lower-bound pruning")
-    p.add_argument("--max-jobs", type=int, default=9)
-    p.add_argument("--node-budget", type=int, default=5_000_000)
+    p.add_argument("--max-jobs", type=int, default=OracleLimits.max_jobs)
+    p.add_argument("--node-budget", type=int, default=OracleLimits.node_budget)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("evaluate", help="check and price a solution file")

@@ -1,14 +1,15 @@
 """Exhaustive exact solver for tiny instances.
 
-Ground truth for bound soundness and solver quality checks. Enumerates all
-attribute-homogeneous batchings, all batch-to-machine assignments, and all
-batch orders per machine; schedules each candidate deterministically and
-keeps the cheapest. Each candidate batch (a block) is summarized once
-(schedule.summarize) and may run on the eligible machines where
-schedule.batch_fault finds no fault; a block with no such machine ends the
-batchings that would contain it. Lower bounds from the bounds module can
-prune batchings whose bound already exceeds the incumbent; each block keeps
-its members that are late wherever it runs, from bounds.late_floor.
+Ground truth for bound soundness and solver quality checks. One generator
+enumerates all attribute-homogeneous batchings, then every batch-to-machine
+assignment and every batch order per machine is tried; each candidate is
+scheduled deterministically and one incumbent keeps the cheapest. Each
+candidate batch (a block) is summarized once (schedule.summarize) and may run
+on the eligible machines where schedule.batch_fault finds no fault; a block
+with no such machine ends the batchings that would contain it. Lower bounds
+from the bounds module can prune batchings whose bound already exceeds the
+incumbent; each block keeps its members that are late wherever it runs, from
+bounds.late_floor.
 
 Objective comparisons use ObjectiveWeights.score, an integer rescaling of
 the normalized objective, so incumbent updates, tie-breaking and pruning
@@ -17,10 +18,12 @@ are exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple
 
 from .bounds import NoFeasiblePlacement, late_floor, setup_cost_lb, tardy_lb
 from .model import CostBreakdown, Instance, Machine, ObjectiveWeights, Solution
@@ -79,39 +82,38 @@ def _make_block(instance: Instance, ids: tuple[int, ...]) -> _Block:
     return _Block(ids, summary, machines, floor)
 
 
-def _attribute_partitions(
-    instance: Instance, attribute: int, block_of: Callable[[tuple[int, ...]], _Block]
+def _batchings(
+    instance: Instance, block_of: Callable[[tuple[int, ...]], _Block]
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All batchings of one attribute's jobs into feasible blocks.
+    """All batchings of the jobs into blocks that have a machine to run on.
 
-    Blocks are pruned while growing: each must have a machine to run on
-    (block_of(ids).machines). Partitions are generated lazily in
-    restricted-growth order, so the sequence is deterministic and
-    duplicate-free, and the caller's node budget bounds the work.
+    Jobs are taken in (attribute, id) order, so every block's ids come out
+    sorted. Each job joins an open block of its own attribute or opens a new
+    one (restricted growth), and a block is kept only while
+    block_of(ids).machines is non-empty. The deepest jobs vary fastest, so
+    the sequence is deterministic and duplicate-free, and it is generated
+    lazily so that the caller's node budget bounds the work.
     """
-    jobs = sorted(j.id for j in instance.jobs_with_attribute(attribute))
+    jobs = sorted((j.attribute, j.id) for j in instance.jobs)
+    blocks: list[tuple[int, list[int]]] = []
 
-    def grow(index: int, blocks: list[list[int]]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    def grow(index: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         if index == len(jobs):
-            yield tuple(tuple(b) for b in blocks)
+            yield tuple(tuple(ids) for _, ids in blocks)
             return
-        job_id = jobs[index]
-        for block in blocks:
-            block.append(job_id)
-            if block_of(tuple(block)).machines:
-                yield from grow(index + 1, blocks)
-            block.pop()
-        blocks.append([job_id])
+        attribute, job_id = jobs[index]
+        for block_attribute, ids in blocks:
+            if block_attribute == attribute:
+                ids.append(job_id)
+                if block_of(tuple(ids)).machines:
+                    yield from grow(index + 1)
+                ids.pop()
+        blocks.append((attribute, [job_id]))
         if block_of((job_id,)).machines:
-            yield from grow(index + 1, blocks)
+            yield from grow(index + 1)
         blocks.pop()
 
-    return grow(0, [])
-
-
-def _layout_key(layout: Sequence[Sequence[Sequence[int]]]) -> tuple:
-    """Canonical encoding used to break ties among equal-cost optima."""
-    return tuple(tuple(tuple(sorted(b)) for b in machine) for machine in layout)
+    return grow(0)
 
 
 class _MachineOrderSearch:
@@ -142,7 +144,7 @@ class _MachineOrderSearch:
             raise BudgetExceeded(f"node budget {self.budget} exhausted")
 
     def best_order(self, machine: Machine, blocks: tuple[_Block, ...]):
-        """Return (score, order, (proc, tardy, setup)) or None if unschedulable."""
+        """Return (score, order, tardy, setup) or None if unschedulable."""
         key = (machine.id, tuple(sorted(b.jobs for b in blocks)))
         if key in self.cache:
             return self.cache[key]
@@ -183,14 +185,8 @@ class _MachineOrderSearch:
                 )
 
         descend(blocks, (), 0, machine.initial_attribute, 0, 0, 0, suffix_floor)
-        if best[0] is None:
-            result = None
-        else:
-            score, order, tardy, setup = best[0]
-            proc = sum(b.summary.proc for b in blocks)
-            result = (score, order, (proc, tardy, setup))
-        self.cache[key] = result
-        return result
+        self.cache[key] = best[0]
+        return best[0]
 
 
 def exact_solve(
@@ -198,10 +194,12 @@ def exact_solve(
 ) -> OracleResult:
     """Find the minimum-objective feasible schedule by exhaustive search.
 
-    Ties between equal-cost optima go to the lexicographically smallest
-    canonical layout. With prune_with_lb, batchings whose lower bound
-    (fixed processing time, setup-cost bound, necessarily-tardy members)
-    strictly exceeds the incumbent are cut, which never changes the result.
+    One incumbent keeps the best layout found so far: per machine, its
+    blocks' job ids in run order, each block's ids sorted. Ties between
+    equal-cost optima go to the lexicographically smallest such layout.
+    With prune_with_lb, batchings whose lower bound (fixed processing time,
+    setup-cost bound, necessarily-tardy members) strictly exceeds the
+    incumbent are cut, which never changes the result.
     Every batching, assignment and order step spends one node of
     limits.node_budget, so the budget bounds the whole search.
     """
@@ -218,43 +216,24 @@ def exact_solve(
     weights = ObjectiveWeights.for_instance(instance)
     machine_index = {m.id: idx for idx, m in enumerate(instance.machines)}
     search = _MachineOrderSearch(instance, weights, limits.node_budget)
+    block_of = functools.cache(functools.partial(_make_block, instance))
+    # the incumbent: (score, layout, proc, tardy, setup)
+    best: tuple | None = None
 
-    best_score: int | None = None
-    best_key: tuple | None = None
-    best_layout: list | None = None
-    best_components: tuple[int, int, int] | None = None
-
-    block_cache: dict[tuple[int, ...], _Block] = {}
-
-    def block_of(ids: tuple[int, ...]) -> _Block:
-        if ids not in block_cache:
-            block_cache[ids] = _make_block(instance, ids)
-        return block_cache[ids]
-
-    def batchings(attribute: int):
-        # the per-attribute batchings in itertools.product order, each
-        # attribute's regenerated per prefix so that none are held in memory
-        if attribute > instance.attribute_count:
-            yield ()
-            return
-        for parts in _attribute_partitions(instance, attribute, block_of):
-            for rest in batchings(attribute + 1):
-                yield (parts, *rest)
-
-    for combo in batchings(1):
+    for batching in _batchings(instance, block_of):
         search._spend()
-        blocks = [block_of(ids) for parts in combo for ids in parts]
+        blocks = [block_of(ids) for ids in batching]
         proc_fixed = sum(b.summary.proc for b in blocks)
 
         if prune_with_lb:
             floors = [block.tardy_floor for block in blocks]
             if None in floors:
                 continue
-            if best_score is not None:
-                counts = {r + 1: len(parts) for r, parts in enumerate(combo)}
+            if best is not None:
+                counts = Counter(block.summary.attribute for block in blocks)
                 setup_floor = setup_cost_lb(instance, counts, len(blocks)).best
                 tardy_floor = max(global_tardy_floor, sum(floors))
-                if weights.score(proc_fixed, tardy_floor, setup_floor) > best_score:
+                if weights.score(proc_fixed, tardy_floor, setup_floor) > best[0]:
                     continue
 
         for assignment in itertools.product(*(b.machines for b in blocks)):
@@ -262,39 +241,25 @@ def exact_solve(
             per_machine: list[list[_Block]] = [[] for _ in instance.machines]
             for block, machine_id in zip(blocks, assignment):
                 per_machine[machine_index[machine_id]].append(block)
-            orders = []
-            feasible = True
-            total_score = weights.score(proc_fixed, 0, 0)
+            outcomes = []
             for machine, machine_blocks in zip(instance.machines, per_machine):
                 outcome = search.best_order(machine, tuple(machine_blocks))
                 if outcome is None:
-                    feasible = False
                     break
-                total_score += outcome[0]
-                orders.append(outcome)
-            if not feasible:
-                continue
-            layout = [list(o[1]) for o in orders]
-            key = _layout_key(layout)
-            if (
-                best_score is None
-                or total_score < best_score
-                or (total_score == best_score and key < best_key)
-            ):
-                best_score = total_score
-                best_key = key
-                best_layout = layout
-                best_components = (
-                    proc_fixed,
-                    sum(o[2][1] for o in orders),
-                    sum(o[2][2] for o in orders),
-                )
+                outcomes.append(outcome)
+            else:
+                score = weights.score(proc_fixed, 0, 0) + sum(o[0] for o in outcomes)
+                layout = tuple(o[1] for o in outcomes)
+                if best is None or (score, layout) < best[:2]:
+                    tardy = sum(o[2] for o in outcomes)
+                    setup = sum(o[3] for o in outcomes)
+                    best = (score, layout, proc_fixed, tardy, setup)
 
-    if best_layout is None:
+    if best is None:
         raise Infeasible("no complete feasible schedule exists")
 
-    solution = build_schedule(instance, best_layout)
+    solution = build_schedule(instance, best[1])
     cost = evaluate(instance, solution, weights, check=False)
     # the decomposed search and the scheduler must agree
-    assert best_components == (cost.proc_time, cost.tardy, cost.setup_cost)
+    assert best[2:] == (cost.proc_time, cost.tardy, cost.setup_cost)
     return OracleResult(solution=solution, cost=cost, nodes=search.nodes)

@@ -9,8 +9,10 @@ from ovensched import (
     Instance,
     Job,
     Machine,
+    ObjectiveWeights,
     batch_lb_eligibility,
     classify_large_small,
+    exact_solve,
     gac_plus,
     generate_instance,
     objective_lb,
@@ -335,3 +337,35 @@ def test_gac_plus_tie_break_is_input_order():
     a = gac_plus([(5, 5, 2), (5, 9, 2)], 2)
     b = gac_plus([(5, 9, 2), (5, 5, 2)], 2)
     assert a == b == (2, 10)
+
+
+def component_optimum(monkeypatch, instance, weight):
+    """The oracle's optimum for one objective component alone: the other
+    two of ObjectiveWeights' w_proc, w_tardy and w_setup are set to 0."""
+    with monkeypatch.context() as patch:
+        for name in ("w_proc", "w_tardy", "w_setup"):
+            if name != weight:
+                patch.setattr(ObjectiveWeights, name, 0)
+        return exact_solve(instance, prune_with_lb=False)
+
+
+def test_component_bounds_below_component_minima(monkeypatch):
+    # criterion 7's 20 instances; each bound against the least value its
+    # component can take, not against that component of the weighted optimum
+    for i in range(20):
+        instance = generate_instance(tiny_config(6 + i % 4, 30000 + i))
+        report = objective_lb(instance)
+        proc = component_optimum(monkeypatch, instance, "w_proc").cost
+        tardy = component_optimum(monkeypatch, instance, "w_tardy")
+        setup = component_optimum(monkeypatch, instance, "w_setup").cost
+        assert report.proc_lb <= proc.proc_time
+        assert report.tardy_lb <= tardy.cost.tardy
+        assert report.setup_lb <= setup.setup_cost
+        late = {
+            j
+            for row in tardy.solution.batches
+            for batch in row
+            for j in batch.jobs
+            if batch.end > instance.job(j).due
+        }
+        assert report.tardy_jobs <= late

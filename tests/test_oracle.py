@@ -221,3 +221,42 @@ def test_pinned_optima(index, components, pruned_nodes, unpruned_nodes, digest):
         assert (cost.proc_time, cost.tardy, cost.setup_cost) == components
         assert result.nodes == nodes
         assert schedule_digest(result.solution) == digest
+
+
+# Three machines and three attributes, so blocks of three attributes
+# interleave in the batching order: cost, node counts (pruned and unpruned)
+# and the optimum's layout and start times.
+@pytest.mark.parametrize(
+    "n, seed, components, pruned_nodes, unpruned_nodes, digest",
+    [
+        (6, 40000, (138, 0, 35), 633, 633,
+         "e556e8ed7c28b35e579f98428acf371a171487c6c6fa5efec55a81890b6dc4bd"),
+        (6, 40001, (83, 1, 20), 122, 122,
+         "7d8d0ee33b798b7625bb017ac33824038f8a82e22d5e563c1db1fb24b70cb59d"),
+        (6, 40002, (51, 0, 16), 44, 3690,
+         "551fb408f23b44276bd15ac8120dd46a1f196aa2185e94abce9c051765ed846c"),
+        (7, 40000, (152, 0, 36), 1145, 1145,
+         "3d2aabeffd425295ea9a400365fcd489543d68ef86f59e0a373bee645927b509"),
+        (7, 40001, (100, 0, 36), 186, 186,
+         "01d885465584c0877f8ea552dcc1308e8b337bb59da7ace84bb815755806112b"),
+        (7, 40002, (63, 0, 26), 219, 16522,
+         "a34bd22aa52b2f5e7676c6c9cc5ce0f6d78d1aeffb57572774e2cc96e788c5dd"),
+        (8, 40000, (181, 0, 46), 6178, 6178,
+         "3a60fc75e6b0fb019b0704ba5b4dcdb7191ac2df0281920cf49411c0a6e4cd51"),
+        (8, 40001, (130, 0, 38), 766, 766,
+         "c2e224fdcd7438cc6a3a6d041e23a81ea6dad2acf4dedc96bc9a6eba4759fa4d"),
+        (8, 40002, (74, 0, 21), 328, 51049,
+         "a19260ed2e0e3ae7e70b4ab4c3d67efcc516eb27338232edfe1413316d3c57f4"),
+    ],
+    ids=[f"item{i}" for i in range(20, 29)],
+)
+def test_pinned_optima_three_attributes(
+    n, seed, components, pruned_nodes, unpruned_nodes, digest
+):
+    instance = generate_instance(tiny_config(n, seed, n_machines=3, n_attributes=3))
+    for prune, nodes in ((True, pruned_nodes), (False, unpruned_nodes)):
+        result = exact_solve(instance, prune_with_lb=prune)
+        cost = result.cost
+        assert (cost.proc_time, cost.tardy, cost.setup_cost) == components
+        assert result.nodes == nodes
+        assert schedule_digest(result.solution) == digest
