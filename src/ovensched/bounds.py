@@ -189,33 +189,24 @@ def gac_plus(units: Sequence[tuple], capacity: int) -> tuple[int, int]:
     """
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
-    items = _normalize_units(units)
-    order = sorted(range(len(items)), key=lambda i: (-items[i][0], i))
-    remaining = {i: items[i][2] for i in range(len(items))}
+    items = sorted(_normalize_units(units), key=lambda unit: -unit[0])  # stable
+    remaining = [count for _, _, count in items]
     batches = 0
     total_time = 0
-    first = 0
-    while True:
-        while first < len(order) and remaining[order[first]] == 0:
-            first += 1
-        if first == len(order):
-            break
-        label = items[order[first]][0]
-        batches += 1
-        total_time += label
-        room = capacity
-        for pos in range(first, len(order)):
-            idx = order[pos]
-            count = remaining[idx]
-            if count == 0:
-                continue
-            lo, hi, _ = items[idx]
-            if lo <= label <= hi:
-                take = count if count < room else room
-                remaining[idx] = count - take
-                room -= take
-                if room == 0:
-                    break
+    for first, (label, _, _) in enumerate(items):
+        while remaining[first]:
+            batches += 1
+            total_time += label
+            room = capacity
+            for pos in range(first, len(items)):
+                count = remaining[pos]
+                lo, hi, _ = items[pos]
+                if count and lo <= label <= hi:
+                    take = count if count < room else room
+                    remaining[pos] = count - take
+                    room -= take
+                    if room == 0:
+                        break
     return batches, total_time
 
 
@@ -237,16 +228,14 @@ def attribute_bounds(instance: Instance, attribute: int) -> AttributeBoundDetail
     )
 
 
-def setup_cost_lb(
-    instance: Instance, batches_per_attribute: Mapping[int, int], total_batches: int
-) -> SetupCostBound:
+def setup_cost_lb(instance: Instance, batches_per_attribute: Mapping[int, int]) -> SetupCostBound:
     """Setup-cost bound given per-attribute batch counts.
 
     before: every batch is preceded by the cheapest setup into its attribute.
     after: every non-final batch is followed by the cheapest setup out of its
     attribute and every used machine pays the cheapest setup out of its
-    initial state; the sum of the total_batches smallest such entries bounds
-    the cost from below.
+    initial state; there is one setup per batch, so the sum of as many of
+    the smallest such entries as there are batches bounds the cost from below.
     """
     a = instance.attribute_count
     before = 0
@@ -263,7 +252,7 @@ def setup_cost_lb(
             min(instance.setup_cost(machine.initial_attribute, q) for q in range(1, a + 1))
         )
     pool.sort()
-    after = sum(pool[:total_batches])
+    after = sum(pool[: sum(batches_per_attribute.values())])
     return SetupCostBound(max(before, after), before, after)
 
 
@@ -314,7 +303,7 @@ def objective_lb(instance: Instance, include_min_setup: bool = True) -> BoundRep
     )
     batches = sum(d.b_best for d in details)
     proc = sum(d.p_best for d in details)
-    setup = setup_cost_lb(instance, {d.attribute: d.b_best for d in details}, batches)
+    setup = setup_cost_lb(instance, {d.attribute: d.b_best for d in details})
     tardy_count, tardy_jobs = tardy_lb(instance, include_min_setup)
     weights = ObjectiveWeights.for_instance(instance)
     objective = weights.objective(proc, tardy_count, setup.best, instance.n_jobs)

@@ -19,12 +19,13 @@ The simulation here is event-driven and gives the same schedule:
   starts after it. A job can start now when one of its machines (eligible,
   large enough; kept in the tie order) has a threshold of at least its
   min_time, and batches grow under the same test.
-- One scan per time. The released jobs are scanned once in due-date order,
-  and the scan goes on after a placement instead of starting again. A
-  placement changes only its own machine, which is then busy until after
-  now (so a skipped job stays unable to start); only if the machine can
-  still start a batch now does the scan start again. It stops once no
-  machine can start anything.
+- One scan per time. The waiting jobs (released, not yet placed) are kept
+  in due-date order and scanned once. A batch fills only from the jobs
+  after its lead and takes its jobs out of the list, and the scan goes on
+  instead of starting again: a placement changes only its own machine,
+  which is then busy until after now (so a skipped job stays unable to
+  start). Only if the machine can still start a batch now does the scan
+  start again. It stops once no machine can start anything.
 - Jumping ahead. Between placements no machine changes, so the next time
   anything can start is the earliest start over the waiting jobs, and a
   time where nothing starts changes nothing. The simulation jumps to a
@@ -98,40 +99,38 @@ class _MachineState:
 
 
 def _open_batch(
-    state: _MachineState,
-    lead: Job,
-    now: int,
-    ready: list[Job],
-    unscheduled: dict[int, Job],
+    state: _MachineState, ready: list[Job], i: int, now: int, unscheduled: dict[int, Job]
 ) -> None:
-    """Start a batch with the lead job and fill it in due-date order.
+    """Start a batch with the lead ready[i], fill it in due-date order and
+    take its jobs out of ready (the waiting jobs, in due-date order).
 
-    ready holds the released jobs in due-date order; placed ones are
-    skipped.
+    Only the jobs after the lead are tried. An earlier job that could join
+    would fit this machine within its start threshold, so the scan would
+    have placed it already: a machine's thresholds only fall within one
+    visited time, and after a zero processing time the scan restarts.
     """
     machine = state.machine
+    lead = ready[i]
     limit = state.limits[lead.attribute - 1]
     members = [lead]
     total_size = lead.size
     proc = lead.min_time
     max_cap = lead.max_time
-    for job in ready:
+    kept = []
+    for job in ready[i + 1 :]:
         if (
             job.attribute != lead.attribute
-            or job.id not in unscheduled
-            or job is lead
             or machine.id not in job.eligible
             or total_size + job.size > machine.capacity
+            or max(proc, job.min_time) > min(max_cap, job.max_time, limit)
         ):
-            continue
-        new_proc = max(proc, job.min_time)
-        new_cap = min(max_cap, job.max_time)
-        if new_proc > new_cap or new_proc > limit:
+            kept.append(job)
             continue
         members.append(job)
         total_size += job.size
-        proc = new_proc
-        max_cap = new_cap
+        proc = max(proc, job.min_time)
+        max_cap = min(max_cap, job.max_time)
+    ready[i:] = kept
     batch = Batch(frozenset(j.id for j in members), now, proc)
     state.batches.append(batch)
     state.prev_attribute = lead.attribute
@@ -172,7 +171,7 @@ def construct(instance: Instance) -> tuple[Solution, CostBreakdown]:
     }
     by_release = sorted(instance.jobs, key=lambda j: j.release)
     released = 0
-    ready: list[Job] = []  # released and unscheduled, in due-date order
+    ready: list[Job] = []  # released and not yet placed, in due-date order
     unscheduled = {j.id: j for j in instance.jobs}
 
     now = 0
@@ -188,21 +187,18 @@ def construct(instance: Instance) -> tuple[Solution, CostBreakdown]:
         i = 0
         while free and i < len(ready):
             job = ready[i]
-            i += 1
-            if job.id not in unscheduled:
-                continue
             a = job.attribute - 1
             for state in fits[job.id]:
                 if state.limits[a] >= job.min_time:
                     break
             else:
+                i += 1
                 continue
-            _open_batch(state, job, now, ready, unscheduled)
+            _open_batch(state, ready, i, now, unscheduled)  # ready[i] is now the next job
             if state.update_limits(instance, now):
                 i = 0  # a zero processing time left the machine free at now
             else:
                 free -= 1
-        ready = [j for j in ready if j.id in unscheduled]
         if not unscheduled:
             break
 

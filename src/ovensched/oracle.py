@@ -231,7 +231,7 @@ def exact_solve(
                 continue
             if best is not None:
                 counts = Counter(block.summary.attribute for block in blocks)
-                setup_floor = setup_cost_lb(instance, counts, len(blocks)).best
+                setup_floor = setup_cost_lb(instance, counts).best
                 tardy_floor = max(global_tardy_floor, sum(floors))
                 if weights.score(proc_fixed, tardy_floor, setup_floor) > best[0]:
                     continue

@@ -195,7 +195,7 @@ def test_combine_overall(example):
 
 
 def test_setup_cost_lb(example):
-    bound = setup_cost_lb(example, {1: 2, 2: 6}, 8)
+    bound = setup_cost_lb(example, {1: 2, 2: 6})
     assert bound.before == 60  # 2*6 + 6*8
     assert bound.after == 68  # 3*6 + 5*10
     assert bound.best == 68
@@ -209,10 +209,10 @@ def test_setup_cost_lb_degenerate():
         setup_times=((0,),),
         setup_costs=((5,),),
     )
-    bound = setup_cost_lb(inst, {1: 1}, 1)
+    bound = setup_cost_lb(inst, {1: 1})
     assert bound == (5, 5, 5)
     zero = Instance(inst.machines, inst.jobs, 1, inst.setup_times, ((0,),))
-    assert setup_cost_lb(zero, {1: 1}, 1).best == 0
+    assert setup_cost_lb(zero, {1: 1}).best == 0
 
 
 def test_tardy_lb(example):

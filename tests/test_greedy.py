@@ -273,29 +273,44 @@ def test_zero_processing_time_leaves_the_machine_free():
     assert [(sorted(b.jobs), b.start) for b in solution.batches[0]] == [([2], 0), ([1], 0), ([3], 5)]
 
 
-# The benchmark's instance shape (k=5, a=5). Recorded from the former
-# implementation, which rescanned every job from the first after each
-# placement and probed every job on every machine to find the next time.
+# The benchmark's instance shape (k=5, a=5) and a one-attribute shape
+# (k=3, a=1), where every waiting job may join the lead's batch. The k=5
+# n=500/1000 entries were recorded from the former implementation, which
+# rescanned every job from the first after each placement and probed every
+# job on every machine to find the next time; the n=250 and a=1 entries
+# from the one that still walked every released job to fill a batch.
 @pytest.mark.parametrize(
-    "n_jobs, seed, expected, objective, batch_count, digest",
+    "n_jobs, n_machines, n_attributes, seed, expected, objective, batch_count, digest",
     [
         (
-            500, 3, (12106, 487, 2149), 0.946136462585034, 181,
+            500, 5, 5, 3, (12106, 487, 2149), 0.946136462585034, 181,
             "980fdfaa24a39f5813053961057beb2877268b5413f436b9cc5e63c187c96c96",
         ),
         (
-            1000, 3, (23703, 991, 4286), 0.9622681385281385, 357,
+            1000, 5, 5, 3, (23703, 991, 4286), 0.9622681385281385, 357,
             "74ed093c6cb7bd594f8fd5d53e29d824e89439d2b9959753eccd2e629dc8d85b",
         ),
         (
-            1000, 110000, (23719, 985, 3998), 0.9567320282186949, 365,
+            1000, 5, 5, 110000, (23719, 985, 3998), 0.9567320282186949, 365,
             "750f8edee40d0a4a33121acd397da7e057cbe7dde4551e1c47881c7934781075",
         ),
+        (
+            250, 5, 5, 3, (6127, 229, 1122), 0.8914933333333334, 97,
+            "378be5a9d6af8765ce9dc3aa4d854bbb7350c09a34236bc80063860a2e19a3e4",
+        ),
+        (
+            300, 3, 1, 3, (7866, 296, 2124), 0.961265306122449, 118,
+            "c316ccf64cadc6657fbef9c83b2ddcef28e6f1cad5485cc0d0816ce2430f4976",
+        ),
     ],
-    ids=["n500-s3", "n1000-s3", "n1000-s110000"],
+    ids=["n500-s3", "n1000-s3", "n1000-s110000", "n250-s3", "n300-k3-a1-s3"],
 )
-def test_pinned_greedy_at_benchmark_scale(n_jobs, seed, expected, objective, batch_count, digest):
-    config = GeneratorConfig(n_jobs=n_jobs, n_machines=5, n_attributes=5, seed=seed)
+def test_pinned_greedy_at_benchmark_scale(
+    n_jobs, n_machines, n_attributes, seed, expected, objective, batch_count, digest
+):
+    config = GeneratorConfig(
+        n_jobs=n_jobs, n_machines=n_machines, n_attributes=n_attributes, seed=seed
+    )
     solution, cost = construct(generate_instance(config))
     assert (cost.proc_time, cost.tardy, cost.setup_cost) == expected
     assert cost.objective == objective
