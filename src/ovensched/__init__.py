@@ -22,11 +22,10 @@ from .bounds import (
     BoundReport,
     NoFeasiblePlacement,
     attribute_bounds,
-    batch_lb_eligibility,
     classify_large_small,
+    eligibility_lb,
     gac_plus,
     objective_lb,
-    proc_lb_eligibility,
     setup_cost_lb,
     tardy_lb,
 )

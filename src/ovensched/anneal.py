@@ -218,14 +218,14 @@ class MoveSpace:
             )
         self.row_jobs = [0] * len(layout)
         self.recount(layout, range(len(layout)))
+        self.jobs = sum(self.row_jobs)
 
     def recount(self, layout: Layout, rows: Iterable[int]) -> None:
-        """Count the layout again after the given rows changed."""
+        """Count the layout again after the given rows changed; a move keeps `jobs`."""
         for m in rows:
             self.row_jobs[m] = sum(map(len, layout[m]))
         self.multi_batch = [m for m, row in enumerate(layout) if len(row) >= 2]
         self.batches = sum(map(len, layout))
-        self.jobs = sum(self.row_jobs)
 
 
 def sample_move(layout: Layout, rng: random.Random, space: MoveSpace) -> Move:

@@ -1,12 +1,13 @@
 """Fast problem-specific lower bounds on the optimal schedule cost.
 
 Per attribute, the number of batches and their cumulative processing time
-are bounded along two independent routes: a machine-eligibility argument
-(jobs tied to a single machine force batches there) and a processing-time
+are bounded along two independent routes, each one function that returns
+both numbers: eligibility_lb, a machine-eligibility argument (jobs tied to
+a single machine force batches there), and gac_plus, a processing-time
 compatibility argument (a greedy clique cover of the unit-size relaxation).
-The better of the two is kept per attribute. Setup-cost and tardy-job
-bounds build on top, and everything is aggregated into a bound on the
-normalized objective.
+The better of the two is kept per number and attribute. Setup-cost and
+tardy-job bounds build on top, and everything is aggregated into a bound on
+the normalized objective.
 
 late_floor is the package's one "late wherever it runs" floor: tardy_lb
 applies it to each job alone, and the oracle to each candidate batch.
@@ -19,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .model import Instance, Machine, ObjectiveWeights
+from .model import Instance, Job, Machine, ObjectiveWeights
 
 
 class NoFeasiblePlacement(Exception):
@@ -68,12 +69,6 @@ class BoundReport:
     wall_time: float
 
 
-class EligibilityBound(NamedTuple):
-    total: int
-    forced: dict[int, int]
-    spill: int
-
-
 class SetupCostBound(NamedTuple):
     best: int
     before: int
@@ -105,56 +100,38 @@ def classify_large_small(
     return frozenset(large), frozenset(small)
 
 
-def batch_lb_eligibility(instance: Instance, small: frozenset[int]) -> EligibilityBound:
-    """Batch-count bound for an attribute's small jobs from single-machine eligibility.
+def eligibility_lb(instance: Instance, small_jobs: Sequence[Job]) -> tuple[int, int]:
+    """Batch-count and processing-time bounds for small jobs from single-machine eligibility.
 
     Jobs eligible on exactly one machine force ceil(size/capacity) batches
-    there; multi-eligible jobs first fill the leftover room in those batches
-    and any remainder is packed into spill batches of the largest machine.
+    there, which run at least as long as that many of their smallest minimal
+    processing times; multi-eligible jobs first fill the leftover room in
+    those batches and any remainder is packed into spill batches of the
+    largest machine, with the smallest multi-eligible minimal processing
+    times. Some batch runs as long as the small job with the largest minimal
+    processing time, so the largest term is lifted to it.
+
+    Returns (batch count, sum of batch processing times).
     """
-    small_jobs = [instance.job(j) for j in sorted(small)]
-    forced: dict[int, int] = {}
-    leftover_room = 0
+    batches = 0
+    room = 0
+    terms: list[int] = []
     for machine in instance.machines:
         pinned = [j for j in small_jobs if j.eligible == {machine.id}]
-        if not pinned:
-            continue
-        total = sum(j.size for j in pinned)
-        count = -(-total // machine.capacity)
-        forced[machine.id] = count
-        leftover_room += count * machine.capacity - total
-    multi_total = sum(j.size for j in small_jobs if len(j.eligible) > 1)
-    overflow = multi_total - leftover_room
+        if pinned:
+            size = sum(j.size for j in pinned)
+            count = -(-size // machine.capacity)
+            batches += count
+            room += count * machine.capacity - size
+            terms += sorted(j.min_time for j in pinned)[:count]
+    multi = [j for j in small_jobs if len(j.eligible) > 1]
+    overflow = sum(j.size for j in multi) - room
     spill = -(-overflow // instance.max_capacity) if overflow > 0 else 0
-    return EligibilityBound(sum(forced.values()) + spill, forced, spill)
-
-
-def proc_lb_eligibility(
-    instance: Instance, small: frozenset[int], elig: EligibilityBound
-) -> int:
-    """Processing-time bound for small jobs matching their batch_lb_eligibility bound.
-
-    Sums the smallest minimal processing times that the forced and spill
-    batches must run for, then accounts for the batch that necessarily runs
-    as long as the small job with the largest minimal processing time.
-    """
-    small_jobs = [instance.job(j) for j in sorted(small)]
-    if not small_jobs:
-        return 0
-    terms: list[int] = []
-    for machine_id, count in elig.forced.items():
-        pinned = sorted(
-            j.min_time for j in small_jobs if j.eligible == {machine_id}
-        )
-        terms.extend(pinned[:count])
-    multi = sorted(j.min_time for j in small_jobs if len(j.eligible) > 1)
-    terms.extend(multi[: elig.spill])
-    if terms:
-        longest = max(j.min_time for j in small_jobs)
-        if longest > max(terms):
-            terms.remove(max(terms))
-            terms.append(longest)
-    return sum(terms)
+    terms += sorted(j.min_time for j in multi)[:spill]
+    if not terms:
+        return batches + spill, 0
+    longest = max(j.min_time for j in small_jobs)
+    return batches + spill, sum(terms) + max(0, longest - max(terms))
 
 
 def _normalize_units(units: Sequence[tuple]) -> list[tuple[int, int, int]]:
@@ -213,17 +190,18 @@ def gac_plus(units: Sequence[tuple], capacity: int) -> tuple[int, int]:
 def attribute_bounds(instance: Instance, attribute: int) -> AttributeBoundDetail:
     """Assemble every per-attribute bound on one large/small split."""
     large, small = classify_large_small(instance, attribute)
-    elig = batch_lb_eligibility(instance, small)
-    units = [(j.min_time, j.max_time, j.size) for j in (instance.job(i) for i in sorted(small))]
+    small_jobs = [instance.job(j) for j in sorted(small)]
+    b_elig, p_elig = eligibility_lb(instance, small_jobs)
+    units = [(j.min_time, j.max_time, j.size) for j in small_jobs]
     b_gac, p_gac = gac_plus(units, instance.max_capacity) if units else (0, 0)
     return AttributeBoundDetail(
         attribute=attribute,
         large_jobs=large,
         small_jobs=small,
-        b_elig_small=elig.total,
+        b_elig_small=b_elig,
         b_gac_small=b_gac,
         p_large=sum(instance.job(j).min_time for j in large),
-        p_elig_small=proc_lb_eligibility(instance, small, elig),
+        p_elig_small=p_elig,
         p_gac_small=p_gac,
     )
 

@@ -138,8 +138,8 @@ class _MachineOrderSearch:
             for r in range(1, instance.attribute_count + 1)
         }
 
-    def _spend(self, count: int = 1) -> None:
-        self.nodes += count
+    def _spend(self) -> None:
+        self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceeded(f"node budget {self.budget} exhausted")
 

@@ -10,13 +10,12 @@ from ovensched import (
     Job,
     Machine,
     ObjectiveWeights,
-    batch_lb_eligibility,
     classify_large_small,
+    eligibility_lb,
     exact_solve,
     gac_plus,
     generate_instance,
     objective_lb,
-    proc_lb_eligibility,
     tardy_lb,
 )
 from ovensched.bounds import NoFeasiblePlacement, attribute_bounds, setup_cost_lb
@@ -24,13 +23,10 @@ from ovensched.bounds import NoFeasiblePlacement, attribute_bounds, setup_cost_l
 from conftest import EXAMPLE_OBJECTIVE_LB, tiny_config
 
 
-def small_jobs(instance, attribute):
-    return classify_large_small(instance, attribute)[1]
-
-
-def proc_lb(instance, attribute):
-    small = small_jobs(instance, attribute)
-    return proc_lb_eligibility(instance, small, batch_lb_eligibility(instance, small))
+def elig(instance, attribute):
+    """The eligibility route on the attribute's small jobs, in id order."""
+    small = classify_large_small(instance, attribute)[1]
+    return eligibility_lb(instance, [instance.job(j) for j in sorted(small)])
 
 
 def batch_lb_capacity(instance, large, small):
@@ -99,18 +95,25 @@ def test_batch_lb_capacity_no_jobs():
     assert batch_lb_capacity(inst, *classify_large_small(inst, 1)) == (0, 0)
 
 
-def test_batch_lb_eligibility(example):
-    total1, forced1, spill1 = batch_lb_eligibility(example, small_jobs(example, 1))
-    assert forced1 == {1: 1, 2: 1}  # job 4 on machine 1, job 9 on machine 2
-    assert spill1 == 0
-    assert total1 == 2
-    total2, forced2, spill2 = batch_lb_eligibility(example, small_jobs(example, 2))
-    assert forced2 == {1: 1}  # job 8
-    assert spill2 == 1  # jobs 5 and 7 exceed the residual room of 7
-    assert total2 == 2
+def test_eligibility_lb(example):
+    # attribute 1: job 4 forces a batch on machine 1 and job 9 one on
+    # machine 2, 19 + 19; no spill
+    assert elig(example, 1) == (2, 38)
+    # attribute 2: job 8 forces a batch on machine 1, 50; jobs 5 and 7
+    # exceed its residual room of 7, one spill batch, 10
+    assert elig(example, 2) == (2, 60)
+    # no small jobs
+    inst = Instance(
+        machines=(Machine(1, 5, 1, ((0, 100),)),),
+        jobs=(Job(1, 1, 5, 0, 50, 7, 9, frozenset({1})),),
+        attribute_count=1,
+        setup_times=((0,),),
+        setup_costs=((0,),),
+    )
+    assert elig(inst, 1) == (0, 0)
 
 
-def test_batch_lb_eligibility_single_spill():
+def test_eligibility_lb_single_spill():
     # all small jobs multi-eligible, total size within the largest capacity
     inst = Instance(
         machines=(Machine(1, 10, 1, ((0, 200),)), Machine(2, 12, 1, ((0, 200),))),
@@ -122,27 +125,13 @@ def test_batch_lb_eligibility_single_spill():
         setup_times=((0,),),
         setup_costs=((0,),),
     )
-    total, forced, spill = batch_lb_eligibility(inst, small_jobs(inst, 1))
-    assert forced == {} and spill == 1 and total == 1
-
-
-def test_proc_lb_eligibility(example):
-    assert proc_lb(example, 1) == 38  # 19 + 19
-    assert proc_lb(example, 2) == 60  # 50 forced + 10 spill
-    # no small jobs -> 0
-    inst = Instance(
-        machines=(Machine(1, 5, 1, ((0, 100),)),),
-        jobs=(Job(1, 1, 5, 0, 50, 7, 9, frozenset({1})),),
-        attribute_count=1,
-        setup_times=((0,),),
-        setup_costs=((0,),),
-    )
-    assert proc_lb(inst, 1) == 0
+    assert elig(inst, 1) == (1, 5)
 
 
 def test_proc_lb_longest_small_job_replacement():
-    # spill batch would run for 7, but some small job needs at least 30:
-    # the bound lifts the largest summed term to 30
+    # job 1 forces a batch on machine 1 and jobs 2 and 3 overflow its room
+    # into one spill batch that would run for 7, but some small job needs
+    # at least 30: the bound lifts the largest summed term to 30
     inst = Instance(
         machines=(Machine(1, 10, 1, ((0, 500),)), Machine(2, 10, 1, ((0, 500),))),
         jobs=(
@@ -154,20 +143,17 @@ def test_proc_lb_longest_small_job_replacement():
         setup_times=((0,),),
         setup_costs=((0,),),
     )
-    total, forced, spill = batch_lb_eligibility(inst, small_jobs(inst, 1))
-    assert forced == {1: 1} and spill == 1 and total == 2
     # naive terms are [5, 7]; 7 is replaced by the overall largest 30
-    assert proc_lb(inst, 1) == 35
-    # shrink the multi-eligible jobs so they fit the forced leftover: the
-    # single term 5 is lifted to 30
+    assert elig(inst, 1) == (2, 35)
+    # shrink the multi-eligible jobs so they fit the forced leftover: no
+    # spill, and the single term 5 is lifted to 30
     jobs = (
         inst.jobs[0],
         Job(2, 1, 3, 0, 400, 30, 40, frozenset({1, 2})),
         Job(3, 1, 3, 0, 400, 7, 40, frozenset({1, 2})),
     )
     inst2 = Instance(inst.machines, jobs, 1, inst.setup_times, inst.setup_costs)
-    assert batch_lb_eligibility(inst2, small_jobs(inst2, 1)).spill == 0
-    assert proc_lb(inst2, 1) == 30
+    assert elig(inst2, 1) == (1, 30)
 
 
 def test_gac_plus_examples():

@@ -9,7 +9,12 @@ import shutil
 import pytest
 
 from ovensched.cli import dispatch
-from ovensched.fileio import RESULT_COLUMNS
+from ovensched.fileio import (
+    RESULT_COLUMNS,
+    GeneratorConfig,
+    generate_instance,
+    write_instance,
+)
 
 from conftest import EXAMPLE_PATH, FIXTURES
 
@@ -80,6 +85,63 @@ def test_bounds_stdout_pinned(capsys, tmp_path, monkeypatch, name, no_min_setup)
     code, out, _ = run(capsys, "bounds", path, *(["--no-min-setup"] if no_min_setup else []))
     assert code == 0
     assert out == f"instance {path}\n" + BOUNDS_PINS[name][no_min_setup]
+
+
+# sha256 of the whole bounds stdout (min-setup, no-min-setup) on the
+# benchmark's cli-certify instances of seed 1: n jobs, 5 machines, 5
+# attributes, generator seed 100000 + 10 n + k for k = 0, 1
+BOUNDS_DIGESTS = {
+    "n100-k0": (
+        "c57f30bf4b80583e5796a5dfb16d428e835331d529cdd42a48885dfe959501f5",
+        "c57f30bf4b80583e5796a5dfb16d428e835331d529cdd42a48885dfe959501f5",
+    ),
+    "n100-k1": (
+        "70ac4741b63826371a6fbfff1bb86ac331dbbd68f647754a928c392564a8e79d",
+        "70ac4741b63826371a6fbfff1bb86ac331dbbd68f647754a928c392564a8e79d",
+    ),
+    "n250-k0": (
+        "10d7192a28e9397c564781667ecdcb7dabc0369b1210e8f676ca9e9807c705ac",
+        "10d7192a28e9397c564781667ecdcb7dabc0369b1210e8f676ca9e9807c705ac",
+    ),
+    "n250-k1": (
+        "a547313093a07ae4c19cdfe3afd895dab01c62dee10937aa24aa0c15c576411f",
+        "a547313093a07ae4c19cdfe3afd895dab01c62dee10937aa24aa0c15c576411f",
+    ),
+    "n500-k0": (
+        "edf7b3ab1e2f1660b954ad1ac1e8e7508ebcc91cb46e0e67b197af0dc3644be2",
+        "edf7b3ab1e2f1660b954ad1ac1e8e7508ebcc91cb46e0e67b197af0dc3644be2",
+    ),
+    "n500-k1": (
+        "eee6c4d0542eed16adbb7c37732d57ceaedaa53a40bb833bdee7bbbd86da68cc",
+        "eee6c4d0542eed16adbb7c37732d57ceaedaa53a40bb833bdee7bbbd86da68cc",
+    ),
+    "n1000-k0": (
+        "83b2522367cb28c18b0f3277f57c3353db0aec57c2e6757ae969a5e2826965cb",
+        "d73104ef84abf5628d81e73bf5e62b34c33cb311e15e70effc7fc018434bfeb1",
+    ),
+    "n1000-k1": (
+        "74dc6c01a4d67cca771fbd88b03c25fe70e851fce10bf0b16676631487984355",
+        "c2b1ee26e84d08e8a6ce7365b6c645c492bc9c79396cfb03231a0da5bbc433c7",
+    ),
+}
+
+
+@pytest.mark.parametrize("no_min_setup", [False, True], ids=["min-setup", "no-min-setup"])
+@pytest.mark.parametrize("name", list(BOUNDS_DIGESTS))
+def test_bounds_stdout_digest_at_benchmark_scale(
+    capsys, tmp_path, monkeypatch, name, no_min_setup
+):
+    monkeypatch.chdir(tmp_path)
+    n_jobs, k = (int(part[1:]) for part in name.split("-"))
+    config = GeneratorConfig(
+        n_jobs=n_jobs, n_machines=5, n_attributes=5, seed=100_000 + 10 * n_jobs + k
+    )
+    path = f"cli-{n_jobs}-{k}.osp"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(write_instance(generate_instance(config)))
+    code, out, _ = run(capsys, "bounds", path, *(["--no-min-setup"] if no_min_setup else []))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_DIGESTS[name][no_min_setup]
 
 
 def test_greedy_fixture(capsys, tmp_path):
