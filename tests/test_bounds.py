@@ -95,13 +95,18 @@ def test_batch_lb_capacity_no_jobs():
     assert batch_lb_capacity(inst, *classify_large_small(inst, 1)) == (0, 0)
 
 
-def test_eligibility_lb(example):
+def test_batch_lb_eligibility(example):
     # attribute 1: job 4 forces a batch on machine 1 and job 9 one on
-    # machine 2, 19 + 19; no spill
-    assert elig(example, 1) == (2, 38)
-    # attribute 2: job 8 forces a batch on machine 1, 50; jobs 5 and 7
-    # exceed its residual room of 7, one spill batch, 10
-    assert elig(example, 2) == (2, 60)
+    # machine 2; no spill
+    assert elig(example, 1)[0] == 2
+    # attribute 2: job 8 forces a batch on machine 1; jobs 5 and 7 exceed
+    # its residual room of 7, one spill batch
+    assert elig(example, 2)[0] == 2
+
+
+def test_proc_lb_eligibility(example):
+    assert elig(example, 1)[1] == 38  # 19 + 19
+    assert elig(example, 2)[1] == 60  # 50 forced + 10 spill
     # no small jobs
     inst = Instance(
         machines=(Machine(1, 5, 1, ((0, 100),)),),
