@@ -15,15 +15,16 @@ batch summarizes it and tests it against the batch rules
 (schedule.batch_fault), so a job move into a batch it cannot join is
 discarded before any rescheduling; the jobs a move leaves behind in a
 batch obey the rules as the batch did. A move reschedules an edited row
-only from its first changed batch, and stops as soon as the rest of the
-row is the old row's unchanged tail slid in time; the cost change is the
-new entries minus the replaced ones. Moves whose rows cannot be scheduled
-are discarded. Batch objects are built only for the returned best
-solution. What sample_move draws from (MoveSpace: jobs per row, the rows
-of two batches or more, the batch and job counts, each job's eligible
-machine indices) is kept with the layout and counted again only for the
-rows an accepted move changed, so a draw does not scan the layout. The
-warm-up that calibrates the start temperature leaves the layout as it is,
+only from its first changed batch, skips the old batches between its two
+edit points once they are those batches slid in time, and stops as soon
+as the rest of the row is the old row's unchanged tail slid in time; the
+cost change is the new entries minus the replaced ones. Moves whose rows
+cannot be scheduled are discarded. Batch objects are built only for the
+returned best solution. What sample_move draws from (MoveSpace: jobs per
+row, the rows of two batches or more, the batch and job counts, each job's
+eligible machine indices) is kept with the layout and counted again only
+for the rows an accepted move changed, so a draw does not scan the layout.
+The warm-up that calibrates the start temperature leaves the layout as it is,
 so a warm-up move drawn again reuses the delta of its first draw; every
 move is still drawn, so the random stream is that of a run without reuse.
 
@@ -45,11 +46,23 @@ the batch ranges, each moved back by the batch's distance to the tail's
 predecessor. A rescheduled row that reaches the old tail in the same
 attribute with an end inside that range is the old tail slid by the
 difference of the ends, at the old tail's cost; an offset of 0 is the
-exact rejoin. The ranges are absolute times, so a slid batch keeps its
-range, and so does a slid tail. Only an accepted move materializes the
-slid tail and works out the ranges of the batches it placed; the tail
-ranges of the positions before those are recomputed with integer min and
-max, back to the first position where they come out as before.
+exact rejoin. The same test serves between two edit points. A reinsert, a
+swap or a job move within one row changes the row at two points, and the
+old batches between them (the run) keep their order and, but for the
+first, their predecessor. Where the rescheduled row reaches a batch of the
+run in the attribute of its old predecessor, at an end inside the range of
+the old row from that batch on, the rest of the run is slid by the
+difference, at its old cost, and rescheduling goes on after the run from
+the slid end of its last batch. That range covers the old row to its end,
+so it is enough for the run, not exact. A run that reaches the end of the
+new row is the old tail only if it also ends at the old row's last batch,
+which a reinsert of the last batch to an earlier position breaks, so a
+run is never taken for the tail. The ranges are absolute times, so a slid
+batch keeps its range of ends, and a slid tail its ranges. Only an
+accepted move materializes the slid run and tail and works out the ranges
+of the batches it placed and the ranges of predecessor ends of the run;
+the tail ranges of the positions before those are recomputed with integer
+min and max, back to the first position where they come out as before.
 """
 
 from __future__ import annotations
@@ -291,7 +304,10 @@ class _Row(NamedTuple):
     over the row. ranges[i] is (earliest, latest, low, high): batch i slides
     to any end in [earliest, latest] at unchanged cost, and batches i,
     i + 1, ... all slide by one offset when batch i - 1 ends anywhere in
-    [low, high] (see the module docstring).
+    [low, high] (see the module docstring). A move's rescheduling tests
+    [low, high] where it reaches the old tail and in the run between the
+    move's two edit points; as it covers the row to its end, it is exact
+    for the tail and enough for the run.
     """
 
     summaries: list[BatchSummary]
@@ -306,13 +322,25 @@ class _RowEdit:
 
     summaries[i] is the summary of row[i]. Invariant: row[:start] is the
     old batches[:start] and row[stop:] is the old batches[stop - shift:],
-    batch by batch, where shift = len(row) - (len(old.states) - 1). Batches
-    are never changed in place, so unchanged ones are shared with the old
-    row. _reschedule sets states, which runs up to the rejoin, and cost;
-    the old batches from index resume on follow, each ending slide later.
+    batch by batch, where shift = len(row) - (len(old.states) - 1). An edit
+    that changes the row at two points also keeps the old batches between
+    them in their old order: run = (lo, hi, run_shift) says that row[lo:hi]
+    is the old batches[lo - run_shift:hi - run_shift], with run_shift -1, 0
+    or +1 and start <= lo <= hi <= stop; move and the same-row job moves of
+    _Search.edit_rows set it, and it is None otherwise. Batches are never
+    changed in place, so unchanged ones are shared with the old row.
+
+    _reschedule sets cost and states, the new states of positions up to
+    the rejoin but for the slid part of the run. slid = (first, offset)
+    when row[first:hi] are the old batches, each ending offset later, and
+    None when no batch of the run slid. The old batches from index resume
+    on follow the rejoin, each ending slide later.
     """
 
-    __slots__ = ("old", "row", "summaries", "start", "stop", "states", "cost", "resume", "slide")
+    __slots__ = (
+        "old", "row", "summaries", "start", "stop", "run",
+        "states", "cost", "slid", "resume", "slide",
+    )
 
     def __init__(self, old: _Row, batches: list[list[int]]):
         self.old = old
@@ -320,6 +348,7 @@ class _RowEdit:
         self.summaries = list(old.summaries)
         self.start = len(batches)
         self.stop = 0
+        self.run = self.slid = None
 
     def replace(self, b: int, batch: list[int], summary: BatchSummary) -> None:
         self.row[b] = batch
@@ -343,6 +372,7 @@ class _RowEdit:
         batch, summary = self.row[src], self.summaries[src]
         self.delete(src)
         self.insert(dst, batch, summary)
+        self.run = (src, dst, -1) if src < dst else (dst + 1, src + 1, 1)
 
     def remove_job(self, instance: Instance, b: int, job_id: int) -> None:
         """Take a job out of batch b. The jobs left obey the batch rules, as
@@ -360,7 +390,10 @@ def _reschedule(instance: Instance, machine: Machine, edit: _RowEdit) -> bool:
     The edit's batches already obey the batch rules. Scheduling starts at
     edit.start from the old state there and stops as soon as the row
     reaches the old row's unchanged tail in the same attribute, at an end
-    the tail slides with.
+    the tail slides with. Inside the edit's run the same test lets the rest
+    of the run slide: scheduling goes on after the run, from the slid end
+    of its last batch, and the slid batches count neither as placed nor as
+    replaced.
     """
     old, summaries, start, stop = edit.old, edit.summaries, edit.start, edit.stop
     states, ranges = old.states, old.ranges
@@ -372,13 +405,32 @@ def _reschedule(instance: Instance, machine: Machine, edit: _RowEdit) -> bool:
     attribute, end = states[start][:2]
     proc, tardy, setup = old.cost
     new_states = states[: start + 1]
-    for i in range(start, len(summaries)):
-        if i >= stop:
-            j = i - shift
-            reach = ranges[j]
-            if reach[2] <= end <= reach[3] and states[j][0] == attribute:
-                resume, slide = j, end - states[j][1]
-                break
+    # check is the first position that may rejoin: the run's, else the tail's
+    check, run, first = stop, edit.run, None
+    if run:
+        lo, hi, run_shift = run
+        check = lo
+    i, n = start, len(summaries)
+    while i < n:
+        if i >= check:
+            if i >= stop:
+                j = i - shift
+                reach = ranges[j]
+                if reach[2] <= end <= reach[3] and states[j][0] == attribute:
+                    resume, slide = j, end - states[j][1]
+                    break
+            elif i < hi:
+                j = i - run_shift
+                reach = ranges[j]
+                if reach[2] <= end <= reach[3] and states[j][0] == attribute:
+                    # the rest of the run slides and scheduling goes on at
+                    # hi; a run that reaches the row's end is not taken for
+                    # the old tail, which it need not be
+                    first, offset = i, end - states[j][1]
+                    last = states[hi - run_shift]
+                    attribute, end = last[0], last[1] + offset
+                    i = hi
+                    continue
         summary = summaries[i]
         setup_time = setup_times[attribute - 1][summary.attribute - 1]
         begin = earliest_start(max(summary.release, end + setup_time), setup_time, summary.proc)
@@ -392,7 +444,12 @@ def _reschedule(instance: Instance, machine: Machine, edit: _RowEdit) -> bool:
         proc += summary.proc
         tardy += late
         setup += cost
-    for _, _, p, t, s in states[start + 1 : resume + 1]:
+        i += 1
+    replaced = states[start + 1 : resume + 1]
+    if first is not None:
+        del replaced[first - run_shift - start : hi - run_shift - start]
+        edit.slid = first, offset
+    for _, _, p, t, s in replaced:
         proc -= p
         tardy -= t
         setup -= s
@@ -402,12 +459,14 @@ def _reschedule(instance: Instance, machine: Machine, edit: _RowEdit) -> bool:
 
 
 def _materialize(instance: Instance, machine: Machine, edit: _RowEdit) -> _Row:
-    """The row a rescheduled edit stands for, with the slid tail and ranges written.
+    """The row a rescheduled edit stands for, with the slid run, the slid
+    tail and the ranges written.
 
     Walks back from the old tail, which keeps its ranges as they are
     absolute. A batch the move placed gets its own range of ends: its own
     end when it does not start right after its predecessor and the setup,
-    else the ends its window, its release and its due dates allow. Each
+    else the ends its window, its release and its due dates allow. A batch
+    of the slid run keeps its range of ends, which is absolute too. Each
     position's range of predecessor ends meets the batch's range with the
     next position's, moved back by the batch's distance to its
     predecessor's end. Before the placed batches, the walk stops at the
@@ -415,19 +474,27 @@ def _materialize(instance: Instance, machine: Machine, edit: _RowEdit) -> _Row:
     keep theirs. The edit is read, not changed.
     """
     old, summaries, head, start = edit.old, edit.summaries, edit.states, edit.start
-    resume, slide = edit.resume, edit.slide
+    resume, slide, slid = edit.resume, edit.slide, edit.slid
+    if slid:
+        (first, offset), (_, hi, run_shift) = slid, edit.run
+        run = old.states[first - run_shift + 1 : hi - run_shift + 1]
+        run = [(a, end + offset, p, t, s) for a, end, p, t, s in run]
+        head = head[: first + 1] + run + head[first + 1 :]
     placed = len(head) - 1
     tail = old.states[resume + 1 :]
     if slide:
         tail = [(a, end + slide, p, t, s) for a, end, p, t, s in tail]
     states = head + tail
     ranges = old.ranges[:start] + [None] * (placed - start) + old.ranges[resume:]
+    if slid:
+        ranges[first:hi] = old.ranges[first - run_shift : hi - run_shift]
     setup_times = instance.setup_times
     low, high = ranges[placed][2:] if tail else (None, None)
     end = states[placed][1]
     for k in range(placed - 1, -1, -1):
         prev_attribute, prev_end, _, _, _ = states[k]
-        if k >= start:
+        reach = ranges[k]
+        if reach is None:  # a batch the move placed
             summary = summaries[k]
             setup = setup_times[prev_attribute - 1][summary.attribute - 1]
             begin = end - summary.proc
@@ -444,7 +511,7 @@ def _materialize(instance: Instance, machine: Machine, edit: _RowEdit) -> _Row:
                 if late < len(dues) and dues[late] < latest:
                     latest = dues[late]
         else:
-            earliest, latest, old_low, old_high = ranges[k]
+            earliest, latest, old_low, old_high = reach
         if low is None:
             low, high = earliest, latest
         low = (earliest if earliest > low else low) - end + prev_end
@@ -521,13 +588,28 @@ class _Search:
         edits = {target: _RowEdit(self.rows[target], self.layout[target])}
         if m0 != target:
             edits[m0] = _RowEdit(self.rows[m0], self.layout[m0])
+        edit = edits[target]
         if kind is MoveJob:
-            edits[target].replace(move.batch, batch, summary)
+            b = move.batch
+            edit.replace(b, batch, summary)
             edits[m0].remove_job(instance, b0, move.job)
         else:
             edits[m0].remove_job(instance, b0, move.job)
-            row = edits[target]
-            row.insert(min(move.position, len(row.row)), batch, summary)
+            b = min(move.position, len(edit.row))
+            edit.insert(b, batch, summary)
+        if m0 == target:
+            # the run between the two edit points; batch b0 is gone from
+            # the row when the job was its only one
+            kept = len(self.layout[m0][b0]) > 1
+            if kind is MoveJob:
+                if b < b0:
+                    edit.run = (b + 1, b0, 0)
+                else:
+                    edit.run = (b0 + 1, b, 0) if kept else (b0, b - 1, -1)
+            elif b <= b0:
+                edit.run = (b + 1, b0 + 1, 1)
+            else:
+                edit.run = (b0 + 1, b, 0) if kept else (b0, b, -1)
         return edits
 
     def evaluate(self, move: Move) -> tuple[dict[int, _RowEdit], tuple[int, int, int]] | None:

@@ -16,6 +16,7 @@ from ovensched import (
     GeneratorConfig,
     InfeasibleBatch,
     Instance,
+    Job,
     Machine,
     MoveJob,
     MoveJobNewBatch,
@@ -446,12 +447,12 @@ def _walk(instance, walk_seed, moves, events):
             assert [state[1] for state in row.states[1:]] == [b.end for b in batches]
             assert row.cost == machine_cost(instance, machine, batches)
             shift = len(edit.row) - len(search.layout[m])
-            rejoin = len(edit.states) - 1
+            rejoin = edit.resume + shift
             for i in range(edit.stop, rejoin + 1):
-                if i == len(edit.row) or edit.states[i][0] != old.states[i - shift][0]:
+                if i == len(edit.row) or row.states[i][0] != old.states[i - shift][0]:
                     continue
                 fault = _slide_fault(
-                    instance, machine, old, search.layout[m], i - shift, edit.states[i][1]
+                    instance, machine, old, search.layout[m], i - shift, row.states[i][1]
                 )
                 if i < rejoin:
                     assert fault is not None
@@ -459,6 +460,25 @@ def _walk(instance, walk_seed, moves, events):
                 else:
                     assert fault is None
                     events[("rejoin", (edit.slide > 0) - (edit.slide < 0))] += 1
+            # the run's batches are old ones in their old order; the run
+            # slides at the first tested position where the old batches
+            # from there on slide
+            lo, hi, run_shift = edit.run or (0, 0, 0)
+            assert run_shift in (-1, 0, 1) and lo <= hi
+            assert lo == hi or edit.start <= lo and hi <= edit.stop
+            assert edit.row[lo:hi] == search.layout[m][lo - run_shift : hi - run_shift]
+            first, offset = edit.slid or (hi, 0)
+            assert lo <= first <= hi
+            for i in range(lo, min(first + 1, hi)):
+                j = i - run_shift
+                slides = row.states[i][0] == old.states[j][0] and (
+                    _slide_fault(instance, machine, old, search.layout[m], j, row.states[i][1])
+                    is None
+                )
+                assert slides == (i == first)
+                if slides:
+                    assert offset == row.states[i][1] - old.states[j][1]
+                    events[("run", (offset > 0) - (offset < 0))] += 1
         if rng.random() < 0.5:
             search.accept(move, edits, totals)
             full = evaluate(instance, build_schedule(instance, search.layout), weights, check=True)
@@ -491,7 +511,8 @@ def test_rigid_shift_cases_occur():
         for shape in sorted(SHAPES):
             instance = generate_instance(SHAPES[shape](20, 9100 + seed, n_machines=2))
             _walk(instance, seed, 150, events)
-    for kind in (("rejoin", 1), ("rejoin", -1), "window end", "due", "pinned"):
+    kinds = (("rejoin", 1), ("rejoin", -1), ("run", 1), ("run", -1), "window end", "due", "pinned")
+    for kind in kinds:
         assert events[kind] > 0, (kind, events)
 
 
@@ -633,6 +654,75 @@ def test_rigid_shift_rejoin_saves_kernel_calls(monkeypatch):
     result = run_annealing(instance, params)
     assert result.cost == CostBreakdown(19094, 463, 2172, 0.9099515646258504)
     assert calls <= 50_000
+
+
+def test_interior_run_slide_saves_kernel_calls(monkeypatch):
+    # The same run as above. The old batches between a move's two edit
+    # points slide like the tail; sliding only the tail made 40,724
+    # Machine.earliest_start calls in this run.
+    calls = 0
+    kernel = Machine.earliest_start
+
+    def counted(self, lower, setup, proc):
+        nonlocal calls
+        calls += 1
+        return kernel(self, lower, setup, proc)
+
+    monkeypatch.setattr(Machine, "earliest_start", counted)
+    instance = generate_instance(GeneratorConfig(n_jobs=500, n_machines=5, n_attributes=5, seed=3))
+    params = AnnealParams(
+        final_temp=4e-6,
+        cooling_rate=0.2,
+        moves_per_level=1000,
+        warmup_moves=1000,
+        time_limit=120,
+        rng_seed=2,
+    )
+    result = run_annealing(instance, params)
+    assert result.cost == CostBreakdown(19094, 463, 2172, 0.9099515646258504)
+    assert calls <= 20_000
+
+
+def _rigid_row():
+    """One machine, one wide window and five one-job batches, each starting
+    right after its predecessor's setup: attributes 1, 1, 2, 2, 1 (setup
+    time 5 between attributes), processing times 10-50, jobs 2 and 5 late
+    wherever they run."""
+    machine = Machine(1, 10, 1, ((0, 1000),))
+    attributes, dues = (1, 1, 2, 2, 1), (999, 0, 999, 999, 0)
+    jobs = [
+        Job(i + 1, attributes[i], 5, 0, dues[i], 10 * (i + 1), 100, frozenset({1}))
+        for i in range(5)
+    ]
+    instance = Instance((machine,), jobs, 2, ((0, 5), (5, 0)), ((0, 3), (3, 0)))
+    return instance, [[[1], [2], [3], [4], [5]]]
+
+
+@pytest.mark.parametrize(
+    "move, row, run",
+    [
+        # the run reaches the row's end but ends before the old last batch
+        (ReinsertBatch(0, 4, 0), [[5], [1], [2], [3], [4]], (1, 5, 1)),
+        (ReinsertBatch(0, 0, 4), [[2], [3], [4], [5], [1]], (0, 4, -1)),
+        # job 2's batch empties; the new batch goes in after job 4's
+        (MoveJobNewBatch(2, 0, 3), [[1], [3], [4], [2], [5]], (1, 3, -1)),
+    ],
+    ids=["last-to-front", "first-to-end", "new-batch-source-empties"],
+)
+def test_interior_run_slides_on_rigid_row(move, row, run):
+    instance, layout = _rigid_row()
+    machine = instance.machines[0]
+    search = _Search(instance, layout)
+    edits, totals = search.evaluate(move)
+    edit = edits[0]
+    assert edit.row == row and edit.run == run
+    assert edit.slid is not None and edit.slid[1] != 0  # the run slid
+    batches = schedule_machine(instance, machine, row)
+    materialized = _materialize(instance, machine, edit)
+    assert [state[1] for state in materialized.states[1:]] == [b.end for b in batches]
+    assert materialized.cost == edit.cost == totals == machine_cost(instance, machine, batches)
+    search.accept(move, edits, totals)
+    assert search.rows == _Search(instance, search.layout).rows
 
 
 def test_warmup_evaluates_each_distinct_move_once(monkeypatch):
