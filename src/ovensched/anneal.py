@@ -15,54 +15,51 @@ batch summarizes it and tests it against the batch rules
 (schedule.batch_fault), so a job move into a batch it cannot join is
 discarded before any rescheduling; the jobs a move leaves behind in a
 batch obey the rules as the batch did. A move reschedules an edited row
-only from its first changed batch, skips the old batches between its two
-edit points once they are those batches slid in time, and stops as soon
-as the rest of the row is the old row's unchanged tail slid in time; the
-cost change is the new entries minus the replaced ones. Moves whose rows
-cannot be scheduled are discarded. Batch objects are built only for the
-returned best solution. What sample_move draws from (MoveSpace: jobs per
-row, the rows of two batches or more, the batch and job counts, each job's
-eligible machine indices) is kept with the layout and counted again only
-for the rows an accepted move changed, so a draw does not scan the layout.
-The warm-up that calibrates the start temperature leaves the layout as it is,
-so a warm-up move drawn again reuses the delta of its first draw; every
-move is still drawn, so the random stream is that of a run without reuse.
+only from its first changed batch and skips the rest of each stretch of
+old batches (the run between its two edit points, the tail after the last)
+once it is those batches slid in time; the cost change is the new entries
+minus the replaced ones. Moves whose rows cannot be scheduled are
+discarded. Batch objects are built only for the returned best solution.
+What sample_move draws from (MoveSpace: jobs per row, the rows of two
+batches or more, the batch and job counts, each job's eligible machine
+indices) is kept with the layout and counted again only for the rows an
+accepted move changed, so a draw does not scan the layout. The warm-up
+that calibrates the start temperature leaves the layout as it is, so a
+warm-up move drawn again reuses the delta of its first draw; every move is
+still drawn, so the random stream is that of a run without reuse.
 
 The rejoin rule. A batch is rigid when it starts exactly at its
 predecessor's end plus the setup time. If the predecessor of a rigid batch
 ends d time units later (d > 0) or earlier (d < 0), the lower bound that
-Machine.earliest_start is given moves by d, and the kernel returns the
-old start plus d as long as the old window still holds the setup plus
+Machine.earliest_start is given moves by d, and the kernel returns the old
+start plus d as long as the old window still holds the setup plus
 processing span and, for d < 0, the release still allows it: later starts
 only make the windows before the old one fail more, and windows are sorted
 and disjoint, so a window before the old one ends before the shifted span
 begins. The batch's tardy count is unchanged as long as no due date lies
-between its old and new end, and its processing time and setup cost do
-not depend on time. So every rigid batch has a range of ends over which it
+between its old and new end, and its processing time and setup cost do not
+depend on time. So every rigid batch has a range of ends over which it
 slides at unchanged cost (a batch that is not rigid only has its own end),
 and the tail of a row from position i has a range of predecessor ends over
 which every tail batch slides by one common offset: the intersection of
 the batch ranges, each moved back by the batch's distance to the tail's
-predecessor. A rescheduled row that reaches the old tail in the same
-attribute with an end inside that range is the old tail slid by the
-difference of the ends, at the old tail's cost; an offset of 0 is the
-exact rejoin. The same test serves between two edit points. A reinsert, a
-swap or a job move within one row changes the row at two points, and the
-old batches between them (the run) keep their order and, but for the
-first, their predecessor. Where the rescheduled row reaches a batch of the
-run in the attribute of its old predecessor, at an end inside the range of
-the old row from that batch on, the rest of the run is slid by the
-difference, at its old cost, and rescheduling goes on after the run from
-the slid end of its last batch. That range covers the old row to its end,
-so it is enough for the run, not exact. A run that reaches the end of the
-new row is the old tail only if it also ends at the old row's last batch,
-which a reinsert of the last batch to an earlier position breaks, so a
-run is never taken for the tail. The ranges are absolute times, so a slid
-batch keeps its range of ends, and a slid tail its ranges. Only an
-accepted move materializes the slid run and tail and works out the ranges
-of the batches it placed and the ranges of predecessor ends of the run;
-the tail ranges of the positions before those are recomputed with integer
-min and max, back to the first position where they come out as before.
+predecessor. An edited row holds stretches of old batches in their old
+order, each batch but a stretch's first after its old predecessor: the
+tail after the last edit point and, for a reinsert, a swap or a job move
+within one row, the run between the two edit points. Where the rescheduled
+row reaches a batch of a stretch in the attribute of its old predecessor,
+at an end inside the range of the old row from that batch on, the rest of
+the stretch is slid by the difference of the ends, at its old cost, and
+rescheduling goes on after the stretch from the slid end of its last
+batch; an offset of 0 is the exact rejoin. That range covers the old row
+to its end, so it is exact for a true suffix, a stretch that ends where
+both the new and the old row end, and enough for any other. The ranges are
+absolute times, so a slid batch keeps its range of ends, and a slid true
+suffix its ranges of predecessor ends. Only an accepted move materializes
+the slid stretches and works out the ranges of the batches it placed and
+the ranges of predecessor ends before the true suffix; the tail ranges of
+the positions before those are recomputed with integer min and max, back
+to the first position where they come out as before.
 """
 
 from __future__ import annotations
@@ -305,9 +302,8 @@ class _Row(NamedTuple):
     to any end in [earliest, latest] at unchanged cost, and batches i,
     i + 1, ... all slide by one offset when batch i - 1 ends anywhere in
     [low, high] (see the module docstring). A move's rescheduling tests
-    [low, high] where it reaches the old tail and in the run between the
-    move's two edit points; as it covers the row to its end, it is exact
-    for the tail and enough for the run.
+    [low, high] in each stretch of old batches it reaches; as it covers the
+    row to its end, it is exact for a true suffix and enough for a run.
     """
 
     summaries: list[BatchSummary]
@@ -320,27 +316,24 @@ class _RowEdit:
     """A copy of one machine row's batches under edit, with the span that
     changed, the old _Row, and the new schedule once _reschedule has run.
 
-    summaries[i] is the summary of row[i]. Invariant: row[:start] is the
-    old batches[:start] and row[stop:] is the old batches[stop - shift:],
-    batch by batch, where shift = len(row) - (len(old.states) - 1). An edit
-    that changes the row at two points also keeps the old batches between
-    them in their old order: run = (lo, hi, run_shift) says that row[lo:hi]
-    is the old batches[lo - run_shift:hi - run_shift], with run_shift -1, 0
-    or +1 and start <= lo <= hi <= stop; move and the same-row job moves of
-    _Search.edit_rows set it, and it is None otherwise. Batches are never
-    changed in place, so unchanged ones are shared with the old row.
+    summaries[i] is the summary of row[i]. The row holds stretches of old
+    batches: a stretch (lo, hi, shift) says that row[lo:hi] is the old
+    batches[lo - shift:hi - shift] in their old order. row[:start] is the
+    old batches[:start], and the tail (stop, len(row), len(row) - the old
+    length) is a stretch. An edit that changes the row at two points also
+    keeps the old batches between them: run is that stretch, with shift -1,
+    0 or +1 and start <= lo <= hi <= stop; move and the same-row job moves
+    of _Search.edit_rows set it, and it is None otherwise. Batches are
+    never changed in place, so unchanged ones are shared with the old row.
 
-    _reschedule sets cost and states, the new states of positions up to
-    the rejoin but for the slid part of the run. slid = (first, offset)
-    when row[first:hi] are the old batches, each ending offset later, and
-    None when no batch of the run slid. The old batches from index resume
-    on follow the rejoin, each ending slide later.
+    _reschedule sets cost, slid and states. slid lists, in row order, the
+    stretches that slid as (first, hi, shift, offset): row[first:hi] are
+    the stretch's old batches, each ending offset later. states holds the
+    old states up to start and the new states of the positions placed,
+    which are all but the slid ones.
     """
 
-    __slots__ = (
-        "old", "row", "summaries", "start", "stop", "run",
-        "states", "cost", "slid", "resume", "slide",
-    )
+    __slots__ = ("old", "row", "summaries", "start", "stop", "run", "states", "cost", "slid")
 
     def __init__(self, old: _Row, batches: list[list[int]]):
         self.old = old
@@ -348,7 +341,7 @@ class _RowEdit:
         self.summaries = list(old.summaries)
         self.start = len(batches)
         self.stop = 0
-        self.run = self.slid = None
+        self.run = None
 
     def replace(self, b: int, batch: list[int], summary: BatchSummary) -> None:
         self.row[b] = batch
@@ -388,49 +381,40 @@ def _reschedule(instance: Instance, machine: Machine, edit: _RowEdit) -> bool:
     """Schedule an edit's row onto the edit; False when a batch cannot be placed.
 
     The edit's batches already obey the batch rules. Scheduling starts at
-    edit.start from the old state there and stops as soon as the row
-    reaches the old row's unchanged tail in the same attribute, at an end
-    the tail slides with. Inside the edit's run the same test lets the rest
-    of the run slide: scheduling goes on after the run, from the slid end
-    of its last batch, and the slid batches count neither as placed nor as
-    replaced.
+    edit.start from the old state there. In each stretch of old batches,
+    the run and then the tail, the row that reaches an old batch in the
+    attribute of its old predecessor, at an end inside the old batch's
+    range of predecessor ends, lets the rest of the stretch slide:
+    scheduling goes on at the stretch's end from the slid end of its last
+    batch, and stops there when that is the row's end. The slid batches
+    count neither as placed nor as replaced.
     """
     old, summaries, start, stop = edit.old, edit.summaries, edit.start, edit.stop
     states, ranges = old.states, old.ranges
-    resume, slide = len(states) - 1, 0
-    shift = len(summaries) - resume
     setup_times = instance.setup_times
     setup_costs = instance.setup_costs
     earliest_start = machine.earliest_start
     attribute, end = states[start][:2]
     proc, tardy, setup = old.cost
     new_states = states[: start + 1]
-    # check is the first position that may rejoin: the run's, else the tail's
-    check, run, first = stop, edit.run, None
-    if run:
-        lo, hi, run_shift = run
-        check = lo
     i, n = start, len(summaries)
+    tail = (stop, n, n - len(ranges))
+    lo, hi, shift = edit.run or tail
+    slid = edit.slid = []
     while i < n:
-        if i >= check:
-            if i >= stop:
-                j = i - shift
-                reach = ranges[j]
-                if reach[2] <= end <= reach[3] and states[j][0] == attribute:
-                    resume, slide = j, end - states[j][1]
-                    break
-            elif i < hi:
-                j = i - run_shift
-                reach = ranges[j]
-                if reach[2] <= end <= reach[3] and states[j][0] == attribute:
-                    # the rest of the run slides and scheduling goes on at
-                    # hi; a run that reaches the row's end is not taken for
-                    # the old tail, which it need not be
-                    first, offset = i, end - states[j][1]
-                    last = states[hi - run_shift]
-                    attribute, end = last[0], last[1] + offset
-                    i = hi
-                    continue
+        if i >= lo:
+            if i >= hi:  # past the run: the tail is the next stretch
+                lo, hi, shift = tail
+                continue
+            j = i - shift
+            reach = ranges[j]
+            if reach[2] <= end <= reach[3] and states[j][0] == attribute:
+                offset = end - states[j][1]
+                slid.append((i, hi, shift, offset))
+                last = states[hi - shift]
+                attribute, end = last[0], last[1] + offset
+                i = hi
+                continue
         summary = summaries[i]
         setup_time = setup_times[attribute - 1][summary.attribute - 1]
         begin = earliest_start(max(summary.release, end + setup_time), setup_time, summary.proc)
@@ -445,51 +429,50 @@ def _reschedule(instance: Instance, machine: Machine, edit: _RowEdit) -> bool:
         tardy += late
         setup += cost
         i += 1
-    replaced = states[start + 1 : resume + 1]
-    if first is not None:
-        del replaced[first - run_shift - start : hi - run_shift - start]
-        edit.slid = first, offset
+    replaced = states[start + 1 :]
+    for first, hi, shift, _ in reversed(slid):
+        del replaced[first - shift - start : hi - shift - start]
     for _, _, p, t, s in replaced:
         proc -= p
         tardy -= t
         setup -= s
     edit.states, edit.cost = new_states, (proc, tardy, setup)
-    edit.resume, edit.slide = resume, slide
     return True
 
 
 def _materialize(instance: Instance, machine: Machine, edit: _RowEdit) -> _Row:
-    """The row a rescheduled edit stands for, with the slid run, the slid
-    tail and the ranges written.
+    """The row a rescheduled edit stands for, with the slid stretches and
+    the ranges written.
 
-    Walks back from the old tail, which keeps its ranges as they are
-    absolute. A batch the move placed gets its own range of ends: its own
-    end when it does not start right after its predecessor and the setup,
-    else the ends its window, its release and its due dates allow. A batch
-    of the slid run keeps its range of ends, which is absolute too. Each
-    position's range of predecessor ends meets the batch's range with the
-    next position's, moved back by the batch's distance to its
-    predecessor's end. Before the placed batches, the walk stops at the
-    first position whose range comes out as before; the positions below it
-    keep theirs. The edit is read, not changed.
+    Each slid stretch gets its old states, their ends moved by the offset,
+    and its old ranges, which are absolute. A slid stretch that is a true
+    suffix, ending at the ends of both the new and the old row, keeps its
+    ranges of predecessor ends too, and the walk back starts before it. A
+    batch the move placed gets its own range of ends: its own end when it
+    does not start right after its predecessor and the setup, else the ends
+    its window, its release and its due dates allow. Each position's range
+    of predecessor ends meets the batch's range with the next position's,
+    moved back by the batch's distance to its predecessor's end. Before the
+    placed batches, the walk stops at the first position whose range comes
+    out as before; the positions below it keep theirs. The edit is read,
+    not changed.
     """
-    old, summaries, head, start = edit.old, edit.summaries, edit.states, edit.start
-    resume, slide, slid = edit.resume, edit.slide, edit.slid
+    old, summaries, start, slid = edit.old, edit.summaries, edit.start, edit.slid
+    states = list(edit.states)
+    ranges = old.ranges[:start] + [None] * (len(states) - 1 - start)
+    for first, hi, shift, offset in slid:
+        stretch = old.states[first - shift + 1 : hi - shift + 1]
+        if offset:
+            stretch = [(a, end + offset, p, t, s) for a, end, p, t, s in stretch]
+        states[first + 1 : first + 1] = stretch
+        ranges[first:first] = old.ranges[first - shift : hi - shift]
+    placed, low, high = len(ranges), None, None
     if slid:
-        (first, offset), (_, hi, run_shift) = slid, edit.run
-        run = old.states[first - run_shift + 1 : hi - run_shift + 1]
-        run = [(a, end + offset, p, t, s) for a, end, p, t, s in run]
-        head = head[: first + 1] + run + head[first + 1 :]
-    placed = len(head) - 1
-    tail = old.states[resume + 1 :]
-    if slide:
-        tail = [(a, end + slide, p, t, s) for a, end, p, t, s in tail]
-    states = head + tail
-    ranges = old.ranges[:start] + [None] * (placed - start) + old.ranges[resume:]
-    if slid:
-        ranges[first:hi] = old.ranges[first - run_shift : hi - run_shift]
+        first, hi, shift, _ = slid[-1]
+        if hi == placed and hi - shift == len(old.ranges):
+            placed = first
+            low, high = ranges[first][2:]
     setup_times = instance.setup_times
-    low, high = ranges[placed][2:] if tail else (None, None)
     end = states[placed][1]
     for k in range(placed - 1, -1, -1):
         prev_attribute, prev_end, _, _, _ = states[k]

@@ -162,9 +162,11 @@ class _MachineOrderSearch:
             if not remaining:
                 best[0] = (score, order, tardy, setup)
                 return
+            setup_times = self.instance.setup_times[prev_attr - 1]
+            setup_costs = self.instance.setup_costs[prev_attr - 1]
             for idx, block in enumerate(remaining):
                 summary = block.summary
-                setup_time = self.instance.setup_time(prev_attr, summary.attribute)
+                setup_time = setup_times[summary.attribute - 1]
                 start = machine.earliest_start(
                     max(summary.release, prev_end + setup_time), setup_time, summary.proc
                 )
@@ -172,7 +174,7 @@ class _MachineOrderSearch:
                     continue
                 end = start + summary.proc
                 block_tardy = bisect_left(summary.dues, end)
-                block_setup = self.instance.setup_cost(prev_attr, summary.attribute)
+                block_setup = setup_costs[summary.attribute - 1]
                 descend(
                     remaining[:idx] + remaining[idx + 1 :],
                     order + (block.jobs,),

@@ -402,13 +402,13 @@ def _walk(instance, walk_seed, moves, events):
 
     Every feasible row edit is materialized as accept would do it and
     compared with schedule_machine/machine_cost; every position where the
-    rescheduling passed the old tail is checked against _slide_fault. A
-    move sampled from the kept MoveSpace must be the one sample_move draws
-    from the same random state with a MoveSpace counted afresh from the
-    layout. After each accept every row and the MoveSpace must equal a
-    rebuild from scratch, and the ranges of the
-    rows it changed must be exact. events counts rejoins by their
-    offset's sign and refused slides by reason.
+    rescheduling tested a stretch of old batches is checked against
+    _slide_fault. A move sampled from the kept MoveSpace must be the one
+    sample_move draws from the same random state with a MoveSpace counted
+    afresh from the layout. After each accept every row and the MoveSpace
+    must equal a rebuild from scratch, and the ranges of the rows it changed
+    must be exact. events counts slides by stretch and offset sign, refused
+    slides by reason, and edits whose run and tail both slid.
     """
     weights = ObjectiveWeights.for_instance(instance)
     search = _Search(instance, layout_of(instance))
@@ -446,39 +446,36 @@ def _walk(instance, walk_seed, moves, events):
             assert edit.row == new_layout[m]
             assert [state[1] for state in row.states[1:]] == [b.end for b in batches]
             assert row.cost == machine_cost(instance, machine, batches)
-            shift = len(edit.row) - len(search.layout[m])
-            rejoin = edit.resume + shift
-            for i in range(edit.stop, rejoin + 1):
-                if i == len(edit.row) or row.states[i][0] != old.states[i - shift][0]:
-                    continue
-                fault = _slide_fault(
-                    instance, machine, old, search.layout[m], i - shift, row.states[i][1]
-                )
-                if i < rejoin:
-                    assert fault is not None
-                    events[fault] += 1
-                else:
-                    assert fault is None
-                    events[("rejoin", (edit.slide > 0) - (edit.slide < 0))] += 1
-            # the run's batches are old ones in their old order; the run
-            # slides at the first tested position where the old batches
-            # from there on slide
-            lo, hi, run_shift = edit.run or (0, 0, 0)
-            assert run_shift in (-1, 0, 1) and lo <= hi
-            assert lo == hi or edit.start <= lo and hi <= edit.stop
-            assert edit.row[lo:hi] == search.layout[m][lo - run_shift : hi - run_shift]
-            first, offset = edit.slid or (hi, 0)
-            assert lo <= first <= hi
-            for i in range(lo, min(first + 1, hi)):
-                j = i - run_shift
-                slides = row.states[i][0] == old.states[j][0] and (
-                    _slide_fault(instance, machine, old, search.layout[m], j, row.states[i][1])
-                    is None
-                )
-                assert slides == (i == first)
-                if slides:
-                    assert offset == row.states[i][1] - old.states[j][1]
-                    events[("run", (offset > 0) - (offset < 0))] += 1
+            # each stretch, the run and then the tail, is old batches in their
+            # old order; it slides at its first tested position where the old
+            # batches from there to the old row's end slide
+            n, old_batches = len(edit.row), search.layout[m]
+            stretches = [("tail", (edit.stop, n, n - len(old_batches)))]
+            if edit.run:
+                lo, hi, shift = edit.run
+                assert shift in (-1, 0, 1) and lo <= hi
+                assert lo == hi or edit.start <= lo and hi <= edit.stop
+                stretches.insert(0, ("run", edit.run))
+            slides = {(hi, shift): (first, offset) for first, hi, shift, offset in edit.slid}
+            assert len(slides) == len(edit.slid)
+            events["run and tail"] += len(slides) == 2
+            for kind, (lo, hi, shift) in stretches:
+                assert edit.row[lo:hi] == old_batches[lo - shift : hi - shift]
+                first, offset = slides.pop((hi, shift), (hi, 0))
+                assert lo <= first <= hi
+                for i in range(lo, min(first + 1, hi)):
+                    j = i - shift
+                    if row.states[i][0] != old.states[j][0]:
+                        assert i != first
+                        continue
+                    fault = _slide_fault(instance, machine, old, old_batches, j, row.states[i][1])
+                    assert (fault is None) == (i == first)
+                    if fault is None:
+                        assert offset == row.states[i][1] - old.states[j][1]
+                        events[(kind, (offset > 0) - (offset < 0))] += 1
+                    else:
+                        events[fault] += 1
+            assert not slides
         if rng.random() < 0.5:
             search.accept(move, edits, totals)
             full = evaluate(instance, build_schedule(instance, search.layout), weights, check=True)
@@ -511,7 +508,10 @@ def test_rigid_shift_cases_occur():
         for shape in sorted(SHAPES):
             instance = generate_instance(SHAPES[shape](20, 9100 + seed, n_machines=2))
             _walk(instance, seed, 150, events)
-    kinds = (("rejoin", 1), ("rejoin", -1), ("run", 1), ("run", -1), "window end", "due", "pinned")
+    kinds = (
+        ("tail", 1), ("tail", -1), ("run", 1), ("run", -1), "run and tail",
+        "window end", "due", "pinned",
+    )
     for kind in kinds:
         assert events[kind] > 0, (kind, events)
 
@@ -716,7 +716,8 @@ def test_interior_run_slides_on_rigid_row(move, row, run):
     edits, totals = search.evaluate(move)
     edit = edits[0]
     assert edit.row == row and edit.run == run
-    assert edit.slid is not None and edit.slid[1] != 0  # the run slid
+    first, hi, shift, offset = edit.slid[0]  # the run slid
+    assert (hi, shift) == run[1:] and offset != 0
     batches = schedule_machine(instance, machine, row)
     materialized = _materialize(instance, machine, edit)
     assert [state[1] for state in materialized.states[1:]] == [b.end for b in batches]
