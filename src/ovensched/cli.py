@@ -4,6 +4,11 @@ Subcommands: bounds, greedy, anneal, oracle, evaluate, generate, bench.
 Exit codes: 0 success, 1 usage error, 2 instance/solution infeasibility,
 3 exhausted search budget. Timing goes to stderr so stdout stays byte-identical
 across repeated runs of deterministic commands.
+
+Start-up is most of a bounds, greedy or evaluate command, so each command
+loads only what it runs: the annealer is imported by anneal and bench, the
+oracle by the oracle command. Their parameter flags default to "not given",
+so the defaults live only in AnnealParams and OracleLimits.
 """
 
 from __future__ import annotations
@@ -16,7 +21,10 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .anneal import AnnealParams, AnnealResult, run_annealing
+# only for the annotations: the package resolves anneal's names on first use,
+# so naming them through it does not load the annealer
+import ovensched
+
 from .bounds import BoundReport, NoFeasiblePlacement, objective_lb
 from .fileio import (
     GeneratorConfig,
@@ -32,14 +40,7 @@ from .fileio import (
 )
 from .greedy import Unschedulable, construct
 from .model import CostBreakdown, Instance, ObjectiveWeights
-from .oracle import BudgetExceeded, Infeasible, OracleLimits, exact_solve
-from .schedule import (
-    InfeasibleBatch,
-    InfeasibleSolution,
-    check_feasibility,
-    evaluate,
-    relative_gap,
-)
+from .schedule import InfeasibleBatch, check_feasibility, evaluate, relative_gap
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -149,7 +150,7 @@ def _solution_row(
 
 
 def _anneal_rows(
-    instance: str, outcomes: list[tuple[int, AnnealResult]], report: BoundReport
+    instance: str, outcomes: list[tuple[int, ovensched.AnnealResult]], report: BoundReport
 ) -> list[ResultRow]:
     return [
         _solution_row(
@@ -190,7 +191,11 @@ def _cmd_greedy(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _anneal_task(payload: tuple[Instance, AnnealParams, BoundReport | None]) -> AnnealResult:
+def _anneal_task(
+    payload: tuple[Instance, ovensched.AnnealParams, BoundReport | None],
+) -> ovensched.AnnealResult:
+    from .anneal import run_annealing
+
     instance, params, lb = payload
     return run_annealing(instance, params, lb=lb)
 
@@ -202,12 +207,21 @@ def _check_counts(args: argparse.Namespace) -> None:
         raise _UsageError("--workers must be at least 1")
 
 
-def _anneal_params(args: argparse.Namespace) -> AnnealParams:
-    return AnnealParams(
+def _given(**flags: object) -> dict[str, object]:
+    """The flags given on the command line; argparse leaves the others None."""
+    return {field: value for field, value in flags.items() if value is not None}
+
+
+def _anneal_params(args: argparse.Namespace) -> ovensched.AnnealParams:
+    """AnnealParams from the given flags; the others keep the dataclass defaults."""
+    from .anneal import AnnealParams
+
+    return AnnealParams(**_given(
+        rng_seed=args.seed,
         time_limit=args.time_limit,
         lb_gap_stop=args.lb_gap_stop,
         moves_per_level=args.moves_per_level,
-    )
+    ))
 
 
 def _cmd_anneal(args: argparse.Namespace) -> int:
@@ -215,7 +229,7 @@ def _cmd_anneal(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
     lb = objective_lb(instance)
     params = _anneal_params(args)
-    seeds = [args.seed + i for i in range(args.replicates)]
+    seeds = [params.rng_seed + i for i in range(args.replicates)]
     started = time.perf_counter()
     payloads = [(instance, replace(params, rng_seed=seed), lb) for seed in seeds]
     outcomes = list(zip(seeds, _map_ordered(_anneal_task, payloads, args.workers)))
@@ -249,13 +263,19 @@ def _cmd_anneal(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import BudgetExceeded, Infeasible, OracleLimits, exact_solve
+
     instance = _load_instance(args.instance)
-    limits = OracleLimits(
-        max_jobs=args.max_jobs,
-        node_budget=args.node_budget,
-    )
+    limits = OracleLimits(**_given(max_jobs=args.max_jobs, node_budget=args.node_budget))
     started = time.perf_counter()
-    result = exact_solve(instance, limits=limits, prune_with_lb=not args.no_prune)
+    try:
+        result = exact_solve(instance, limits=limits, prune_with_lb=not args.no_prune)
+    except Infeasible as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except BudgetExceeded as exc:
+        print(f"budget: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     elapsed = time.perf_counter() - started
     print(f"instance {args.instance}")
     print(f"optimal {_cost_text(result.cost)}")
@@ -281,8 +301,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    flags = {"n_jobs": args.n, "n_machines": args.k, "n_attributes": args.a, "seed": args.seed}
-    given = {field: value for field, value in flags.items() if value is not None}
+    given = _given(n_jobs=args.n, n_machines=args.k, n_attributes=args.a, seed=args.seed)
     if args.config:
         base = GeneratorConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
         config = replace(base, **given)
@@ -310,7 +329,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if not paths:
         raise _UsageError(f"no *.osp instances under {args.directory}")
     params = _anneal_params(args)
-    seeds = [args.seed + i for i in range(args.replicates)]
+    seeds = [params.rng_seed + i for i in range(args.replicates)]
     # bounds and greedy run here; the SA runs of every instance share one pool
     instances, payloads = [], []
     for path in paths:
@@ -340,19 +359,20 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _add_anneal_flags(p: argparse.ArgumentParser) -> None:
     """The flags that anneal and bench share."""
-    p.add_argument("--seed", type=int, default=AnnealParams.rng_seed)
-    p.add_argument("--time-limit", type=float, default=AnnealParams.time_limit)
-    p.add_argument("--lb-gap-stop", type=float, default=None,
+    p.add_argument("--seed", type=int)
+    p.add_argument("--time-limit", type=float)
+    p.add_argument("--lb-gap-stop", type=float,
                    help="stop when the gap to the lower bound reaches this percentage")
     p.add_argument("--replicates", type=int, default=10)
-    p.add_argument("--moves-per-level", type=int, default=AnnealParams.moves_per_level,
+    p.add_argument("--moves-per-level", type=int,
                    help="moves per temperature level (0 = 50 per job)")
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                    help="worker processes, at most one per task (default: CPU count)")
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="ovensched", description=__doc__)
+    # the docstring's last paragraph is about start-up, not usage
+    parser = _Parser(prog="ovensched", description=__doc__.rpartition("\n\n")[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p = sub.add_parser("bounds", help="compute lower bounds for an instance")
@@ -380,8 +400,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="solve a tiny instance exactly")
     p.add_argument("instance")
     p.add_argument("--no-prune", action="store_true", help="disable lower-bound pruning")
-    p.add_argument("--max-jobs", type=int, default=OracleLimits.max_jobs)
-    p.add_argument("--node-budget", type=int, default=OracleLimits.node_budget)
+    p.add_argument("--max-jobs", type=int)
+    p.add_argument("--node-budget", type=int)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("evaluate", help="check and price a solution file")
@@ -426,13 +446,10 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     except (_UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, ValidationError, InfeasibleSolution, InfeasibleBatch,
-            Infeasible, Unschedulable, NoFeasiblePlacement) as exc:
+    except (ParseError, ValidationError, InfeasibleBatch, Unschedulable,
+            NoFeasiblePlacement) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except BudgetExceeded as exc:
-        print(f"budget: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
 
 
 def main() -> None:

@@ -313,6 +313,39 @@ def test_anneal_rejects_params_that_switch_the_search_off(capsys):
         assert "must be" in err
 
 
+def test_flag_defaults_are_the_dataclass_defaults(capsys, monkeypatch):
+    from ovensched import oracle
+    from ovensched.anneal import AnnealParams
+    from ovensched.cli import _anneal_params, _build_parser
+
+    parser = _build_parser()
+    for command in (["anneal", EXAMPLE], ["bench", str(FIXTURES)]):
+        assert _anneal_params(parser.parse_args(command)) == AnnealParams()
+    code, out, _ = run(capsys, "anneal", EXAMPLE, "--replicates", "1", "--workers", "1")
+    assert code == 0
+    assert "\nreplicate seed 1 stop final_temp cost proc 158 tardy 8 setup 72 " in out
+
+    given = []
+
+    def out_of_budget(instance, limits, prune_with_lb):
+        given.append(limits)
+        raise oracle.BudgetExceeded("node budget spent")
+
+    monkeypatch.setattr(oracle, "exact_solve", out_of_budget)
+    assert run(capsys, "oracle", EXAMPLE) == (3, "", "budget: node budget spent\n")
+    assert given == [oracle.OracleLimits()]
+
+
+def test_out_of_range_limits_exit_1_with_the_dataclass_message(capsys):
+    for argv, message in (
+        (["oracle", EXAMPLE, "--node-budget", "0"], "all oracle limits must be positive"),
+        (["oracle", EXAMPLE, "--max-jobs", "-2"], "all oracle limits must be positive"),
+        (["anneal", EXAMPLE, "--workers", "1", "--time-limit", "-1"],
+         "time_limit must be non-negative"),
+    ):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n"), argv
+
+
 def test_missing_file_is_usage_error(capsys, tmp_path):
     assert run(capsys, "bounds", "no-such-file.osp")[0] == 1
     # a directory where a file is read, and where one is written
