@@ -13,17 +13,20 @@ each batch of the current layout carries a summary of its jobs
 machine row keeps its schedule state per position. The edit that makes a
 batch summarizes it and tests it against the batch rules
 (schedule.batch_fault), so a job move into a batch it cannot join is
-discarded before any rescheduling; the jobs a move leaves behind in a
+discarded before any rescheduling; a job move into a kept batch is tested
+on the kept summary and the job, which says the same, and builds the
+merged batch only when it passes. The jobs a move leaves behind in a
 batch obey the rules as the batch did. A move reschedules an edited row
 only from its first changed batch and skips the rest of each stretch of
 old batches (the run between its two edit points, the tail after the last)
 once it is those batches slid in time; the cost change is the new entries
 minus the replaced ones. Moves whose rows cannot be scheduled are
 discarded. Batch objects are built only for the returned best solution.
-What sample_move draws from (MoveSpace: jobs per row, the rows of two
-batches or more, the batch and job counts, each job's eligible machine
-indices) is kept with the layout and counted again only for the rows an
-accepted move changed, so a draw does not scan the layout. The warm-up
+What sample_move draws from (MoveSpace: jobs per row and per batch prefix
+of each row, the rows of two batches or more, the batch and job counts,
+each job's eligible machine indices) is kept with the layout and counted
+again only for the rows an accepted move changed, so a draw finds its job
+by the row totals and a bisect and does not scan the layout. The warm-up
 that calibrates the start temperature leaves the layout as it is, so a
 warm-up move drawn again reuses the delta of its first draw; every move is
 still drawn, so the random stream is that of a run without reuse.
@@ -67,9 +70,10 @@ from __future__ import annotations
 import math
 import random
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence, Union
+from itertools import accumulate
+from typing import Iterable, NamedTuple, Union
 
 from .bounds import BoundReport
 from .greedy import construct
@@ -177,21 +181,6 @@ class MoveJobNewBatch:
 Move = Union[SwapBatches, ReinsertBatch, MoveJob, MoveJobNewBatch]
 
 
-def _job_at(layout: Layout, row_jobs: Sequence[int], index: int) -> tuple[int, int, int]:
-    """(job id, machine, batch) of the index-th job in layout order.
-
-    row_jobs[m] is the number of jobs in machine row m.
-    """
-    for m, size in enumerate(row_jobs):
-        if index < size:
-            for b, batch in enumerate(layout[m]):
-                if index < len(batch):
-                    return batch[index], m, b
-                index -= len(batch)
-        index -= size
-    raise IndexError("job index out of range")
-
-
 def _batch_at(layout: Layout, index: int) -> tuple[int, int]:
     """(machine, batch) of the index-th batch in layout order."""
     for m, row in enumerate(layout):
@@ -204,14 +193,17 @@ def _batch_at(layout: Layout, index: int) -> tuple[int, int]:
 class MoveSpace:
     """What sample_move draws from in a layout.
 
-    row_jobs[m] counts the jobs of machine row m, multi_batch lists the rows
-    of two batches or more in machine order, batches and jobs count the
-    layout's batches and jobs, and eligible[job id] holds the indices of the
-    job's eligible machines in increasing machine-id order. A layout without
-    jobs has no move, so it is rejected with a ValueError.
+    row_jobs[m] counts the jobs of machine row m and prefix_jobs[m][b] those
+    of its batches 0 to b, so a drawn job index is found by the row totals
+    and a bisect. multi_batch lists the rows of two batches or more in
+    machine order, batches and jobs count the layout's batches and jobs,
+    and eligible[job id] holds the indices of the job's eligible machines in
+    increasing machine-id order. A layout without jobs has no move, so it is
+    rejected with a ValueError.
     """
 
     row_jobs: list[int]
+    prefix_jobs: list[list[int]]
     multi_batch: list[int]
     batches: int
     jobs: int
@@ -227,15 +219,40 @@ class MoveSpace:
                 "the layout needs a job, every job an eligible machine and every batch a job"
             )
         self.row_jobs = [0] * len(layout)
+        self.prefix_jobs = [[] for _ in layout]
+        self.multi_batch = []
+        self.batches = 0
         self.recount(layout, range(len(layout)))
         self.jobs = sum(self.row_jobs)
 
     def recount(self, layout: Layout, rows: Iterable[int]) -> None:
-        """Count the layout again after the given rows changed; a move keeps `jobs`."""
+        """Count the given rows again after they changed; a move keeps `jobs`.
+
+        The batch total moves by each row's difference, and multi_batch is
+        listed again only when a row crosses two batches.
+        """
+        crossed = False
         for m in rows:
-            self.row_jobs[m] = sum(map(len, layout[m]))
-        self.multi_batch = [m for m, row in enumerate(layout) if len(row) >= 2]
-        self.batches = sum(map(len, layout))
+            prefix = list(accumulate(map(len, layout[m])))
+            before = len(self.prefix_jobs[m])
+            self.prefix_jobs[m] = prefix
+            self.row_jobs[m] = prefix[-1] if prefix else 0
+            self.batches += len(prefix) - before
+            crossed = crossed or (before >= 2) != (len(prefix) >= 2)
+        if crossed:
+            self.multi_batch = [m for m, row in enumerate(layout) if len(row) >= 2]
+
+    def job_at(self, layout: Layout, index: int) -> tuple[int, int, int]:
+        """(job id, machine, batch) of the index-th job in layout order."""
+        for m, size in enumerate(self.row_jobs):
+            if index < size:
+                prefix = self.prefix_jobs[m]
+                b = bisect_right(prefix, index)
+                if b:
+                    index -= prefix[b - 1]
+                return layout[m][b][index], m, b
+            index -= size
+        raise IndexError("job index out of range")
 
 
 def sample_move(layout: Layout, rng: random.Random, space: MoveSpace) -> Move:
@@ -276,7 +293,7 @@ def sample_move(layout: Layout, rng: random.Random, space: MoveSpace) -> Move:
         if dst >= src:
             dst += 1
         return ReinsertBatch(machine, src, dst)
-    job_id, m0, b0 = _job_at(layout, space.row_jobs, randbelow(total_jobs))
+    job_id, m0, b0 = space.job_at(layout, randbelow(total_jobs))
     if kind == 2:
         slot = randbelow(total_batches - 1)
         if slot >= sum(map(len, layout[:m0])) + b0:
@@ -325,6 +342,9 @@ class _RowEdit:
     0 or +1 and start <= lo <= hi <= stop; move and the same-row job moves
     of _Search.edit_rows set it, and it is None otherwise. Batches are
     never changed in place, so unchanged ones are shared with the old row.
+    made lists the batches the edit made (replace adds its batch, and
+    _Search.edit_rows the new batch it inserts), to which _Search.accept
+    maps their jobs.
 
     _reschedule sets cost, slid and states. slid lists, in row order, the
     stretches that slid as (first, hi, shift, offset): row[first:hi] are
@@ -333,7 +353,9 @@ class _RowEdit:
     which are all but the slid ones.
     """
 
-    __slots__ = ("old", "row", "summaries", "start", "stop", "run", "states", "cost", "slid")
+    __slots__ = (
+        "old", "row", "summaries", "start", "stop", "run", "made", "states", "cost", "slid"
+    )
 
     def __init__(self, old: _Row, batches: list[list[int]]):
         self.old = old
@@ -342,10 +364,12 @@ class _RowEdit:
         self.start = len(batches)
         self.stop = 0
         self.run = None
+        self.made: list[list[int]] = []
 
     def replace(self, b: int, batch: list[int], summary: BatchSummary) -> None:
         self.row[b] = batch
         self.summaries[b] = summary
+        self.made.append(batch)
         self.start = min(self.start, b)
         self.stop = max(self.stop, b + 1)
 
@@ -512,9 +536,12 @@ class _Search:
     layout[m] holds machine row m's batches and rows[m] their summaries and
     per-position schedule state (_Row), so a move is costed by rescheduling
     only the changed part of the rows it edits. totals are the (processing
-    time, tardy jobs, setup cost) of the whole layout. space is the
-    layout's MoveSpace, kept for sample_move: accept counts again only the
-    rows a move changed.
+    time, tardy jobs, setup cost) of the whole layout. where[job id] is
+    (m, batch): the job's machine index and the batch (list) that holds it.
+    Batches are disjoint and never empty, so the job's batch is the one in
+    row m that equals it. space is the layout's MoveSpace, kept for
+    sample_move. accept updates where and space only for what the move
+    changed: the batches it made and the rows it edited.
     """
 
     def __init__(self, instance: Instance, layout: Layout):
@@ -532,21 +559,23 @@ class _Search:
                 raise ValueError(f"machine {machine.id} row cannot be scheduled")
             self.rows.append(_materialize(instance, machine, edit))
         self.totals = tuple(map(sum, zip(*(r.cost for r in self.rows))))
-        self.row_of = {j: m for m, row in enumerate(self.layout) for b in row for j in b}
+        self.where = {j: (m, b) for m, row in enumerate(self.layout) for b in row for j in b}
         self.space = MoveSpace(instance, self.layout)
 
     def locate(self, job_id: int) -> tuple[int, int]:
-        m = self.row_of[job_id]
-        for b, batch in enumerate(self.layout[m]):
-            if job_id in batch:
-                return m, b
-        raise ValueError(f"job {job_id} not in machine row {m}")
+        m, batch = self.where[job_id]
+        return m, self.layout[m].index(batch)
 
     def edit_rows(self, move: Move) -> dict[int, _RowEdit] | None:
         """The rows a move edits, by machine index.
 
         None when the move would put a job into its own batch, or when the
-        batch a job move makes breaks a batch rule (schedule.batch_fault).
+        batch a job move makes breaks a batch rule (schedule.batch_fault). A
+        kept batch obeys the rules on its machine, so a job joins it exactly
+        when the job has the batch's attribute and the machine, and the
+        sizes and the processing-time intervals of the batch's summary and
+        the job fit together; only then is the merged batch built, and its
+        summary is the kept one with the job added.
         """
         kind, target = type(move), move.machine
         if kind is SwapBatches or kind is ReinsertBatch:
@@ -558,28 +587,51 @@ class _Search:
             return {target: edit}
 
         instance = self.instance
-        m0, b0 = self.locate(move.job)
+        machine = instance.machines[target]
+        job_id = move.job
         if kind is MoveJob:
-            if m0 == target and b0 == move.batch:
+            b = move.batch
+            if self.layout[target][b] is self.where[job_id][1]:
                 return None
-            batch = sorted([*self.layout[target][move.batch], move.job])
+            job, host = instance.job(job_id), self.rows[target].summaries[b]
+            proc, max_time = max(host.proc, job.min_time), min(host.max_time, job.max_time)
+            if (
+                job.attribute != host.attribute
+                or machine.id not in job.eligible
+                or host.size + job.size > machine.capacity
+                or proc > max_time
+            ):
+                return None
+            dues = host.dues
+            k = bisect_right(dues, job.due)
+            summary = BatchSummary(
+                host.attribute,
+                host.size + job.size,
+                proc,
+                max_time,
+                max(host.release, job.release),
+                (*dues[:k], job.due, *dues[k:]),
+                host.eligible & job.eligible,
+            )
+            batch = sorted([*self.layout[target][b], job_id])
         else:
-            batch = [move.job]
-        summary = summarize(instance, batch)
-        if batch_fault(instance, instance.machines[target], batch, summary) is not None:
-            return None
+            batch = [job_id]
+            summary = summarize(instance, batch)
+            if batch_fault(instance, machine, batch, summary) is not None:
+                return None
+        m0, b0 = self.locate(job_id)
         edits = {target: _RowEdit(self.rows[target], self.layout[target])}
         if m0 != target:
             edits[m0] = _RowEdit(self.rows[m0], self.layout[m0])
         edit = edits[target]
         if kind is MoveJob:
-            b = move.batch
             edit.replace(b, batch, summary)
-            edits[m0].remove_job(instance, b0, move.job)
+            edits[m0].remove_job(instance, b0, job_id)
         else:
-            edits[m0].remove_job(instance, b0, move.job)
+            edits[m0].remove_job(instance, b0, job_id)
             b = min(move.position, len(edit.row))
             edit.insert(b, batch, summary)
+            edit.made.append(batch)
         if m0 == target:
             # the run between the two edit points; batch b0 is gone from
             # the row when the job was its only one
@@ -612,11 +664,14 @@ class _Search:
 
     def accept(self, move: Move, edits: dict[int, _RowEdit], totals: tuple[int, int, int]) -> None:
         """Take an evaluated move: each edit's batches and materialized row become current."""
+        where = self.where
         for m, edit in edits.items():
             self.rows[m] = _materialize(self.instance, self.instance.machines[m], edit)
             self.layout[m] = edit.row
-        if isinstance(move, (MoveJob, MoveJobNewBatch)):
-            self.row_of[move.job] = move.machine
+            for batch in edit.made:
+                place = m, batch
+                for job_id in batch:
+                    where[job_id] = place
         self.space.recount(self.layout, edits)
         self.totals = totals
 

@@ -18,7 +18,9 @@ The simulation here is event-driven and gives the same schedule:
   monotone in p: every earlier window ends before now and every later one
   starts after it. A job can start now when one of its machines (eligible,
   large enough; kept in the tie order) has a threshold of at least its
-  min_time, and batches grow under the same test.
+  min_time, and batches grow under the same test. A job whose min_time is
+  above every machine's threshold for its attribute is passed over without
+  a look at its machines.
 - One scan per time. The waiting jobs (released, not yet placed) are kept
   in due-date order and scanned once. A batch fills only from the jobs
   after its lead and takes its jobs out of the list, and the scan goes on
@@ -96,6 +98,11 @@ class _MachineState:
         for a, setup in enumerate(setups):
             limits[a] = win_end - now if ready_at + setup <= now else -1
         return max(limits) >= 0
+
+
+def _top_limits(states: list[_MachineState]) -> list[int]:
+    """Per attribute, the largest start threshold of any machine."""
+    return [max(limits) for limits in zip(*(state.limits for state in states))]
 
 
 def _open_batch(
@@ -184,10 +191,14 @@ def construct(instance: Instance) -> tuple[Solution, CostBreakdown]:
                 heappush(state.shortest[job.attribute - 1], (job.min_time, job.id))
 
         free = sum(state.update_limits(instance, now) for state in states)
+        top = _top_limits(states)
         i = 0
         while free and i < len(ready):
             job = ready[i]
             a = job.attribute - 1
+            if job.min_time > top[a]:  # no machine can start it now
+                i += 1
+                continue
             for state in fits[job.id]:
                 if state.limits[a] >= job.min_time:
                     break
@@ -199,6 +210,7 @@ def construct(instance: Instance) -> tuple[Solution, CostBreakdown]:
                 i = 0  # a zero processing time left the machine free at now
             else:
                 free -= 1
+            top = _top_limits(states)
         if not unscheduled:
             break
 

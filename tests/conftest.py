@@ -1,11 +1,24 @@
 from __future__ import annotations
 
 import hashlib
+import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from ovensched import GeneratorConfig, Instance, Job, Machine, Solution
+
+# HYPOTHESIS_PROFILE=ci runs every property test five times deeper (CI sets
+# it); a test that sets its own example count scales it with examples().
+settings.register_profile("ci", max_examples=500)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+def examples(count: int) -> int:
+    """count under the default profile, scaled like max_examples under another."""
+    return count * settings.default.max_examples // settings.get_profile("default").max_examples
+
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 EXAMPLE_PATH = FIXTURES / "example_10jobs.osp"

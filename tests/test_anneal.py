@@ -35,9 +35,9 @@ from ovensched import (
 )
 from ovensched import anneal
 from ovensched.anneal import MoveSpace, _materialize, _Search
-from ovensched.schedule import machine_cost, schedule_machine, summarize
+from ovensched.schedule import batch_fault, machine_cost, schedule_machine, summarize
 
-from conftest import EXAMPLE_OBJECTIVE_LB, schedule_digest, tiny_config
+from conftest import EXAMPLE_OBJECTIVE_LB, examples, schedule_digest, tiny_config
 
 FAST = AnnealParams(rng_seed=3, warmup_moves=100, moves_per_level=60, time_limit=20.0)
 
@@ -487,7 +487,7 @@ def _walk(instance, walk_seed, moves, events):
                 _check_row_ranges(instance, instance.machines[m], search.rows[m], search.layout[m])
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(
     st.sampled_from(sorted(SHAPES)),
     st.integers(1, 24),
@@ -514,6 +514,144 @@ def test_rigid_shift_cases_occur():
     )
     for kind in kinds:
         assert events[kind] > 0, (kind, events)
+
+
+def _job_at(layout, row_jobs, index):
+    """Reference: (job id, machine, batch) of the index-th job in layout
+    order by a linear scan; row_jobs[m] is the number of jobs in row m."""
+    for m, size in enumerate(row_jobs):
+        if index < size:
+            for b, batch in enumerate(layout[m]):
+                if index < len(batch):
+                    return batch[index], m, b
+                index -= len(batch)
+        index -= size
+    raise IndexError("job index out of range")
+
+
+def _layout_of_sizes(sizes, seed):
+    """A layout whose row m holds batches of sizes[m], job ids shuffled."""
+    ids = list(range(1, sum(map(sum, sizes)) + 1))
+    random.Random(seed).shuffle(ids)
+    ids = iter(ids)
+    return [[[next(ids) for _ in range(size)] for size in row] for row in sizes]
+
+
+def _check_job_at(sizes, seed):
+    layout = _layout_of_sizes(sizes, seed)
+    instance = generate_instance(tiny_config(sum(map(sum, sizes)), seed, n_machines=len(sizes)))
+    space = MoveSpace(instance, layout)
+    assert space.row_jobs == [sum(row) for row in sizes]
+    for index in range(space.jobs):
+        assert space.job_at(layout, index) == _job_at(layout, space.row_jobs, index)
+    with pytest.raises(IndexError):
+        space.job_at(layout, space.jobs)
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        [[], [3, 1], [2]],  # a job-less first row
+        [[1, 1, 1], [], [1]],  # one-job batches around a job-less row
+        [[4], [2], [3]],  # one-batch rows
+        [[2, 3], [1], []],  # a job-less last row
+        [[1]],
+    ],
+)
+def test_job_at_matches_a_linear_scan(sizes):
+    _check_job_at(sizes, 5)
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(
+    st.lists(st.lists(st.integers(1, 4), max_size=5), min_size=1, max_size=3).filter(
+        lambda sizes: any(sizes)
+    ),
+    st.integers(0, 10**6),
+)
+def test_job_at_matches_a_linear_scan_on_random_layouts(sizes, seed):
+    _check_job_at(sizes, seed)
+
+
+def _accepted_walk(instance, rng, moves):
+    """A _Search on the greedy layout, yielded at the start and after each
+    accept of random moves drawn by sample_move, every feasible one accepted."""
+    search = _Search(instance, layout_of(instance))
+    yield search
+    for _ in range(moves):
+        move = sample_move(search.layout, rng, search.space)
+        outcome = search.evaluate(move)
+        if outcome is not None:
+            search.accept(move, *outcome)
+            yield search
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(
+    st.sampled_from(sorted(SHAPES)),
+    st.integers(1, 16),
+    st.integers(1, 3),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+)
+def test_locate_matches_a_scan_after_accepted_moves(
+    shape, n_jobs, n_machines, instance_seed, walk_seed
+):
+    instance = generate_instance(SHAPES[shape](n_jobs, instance_seed, n_machines=n_machines))
+    for search in _accepted_walk(instance, random.Random(walk_seed), 40):
+        for job in instance.jobs:
+            m, b = search.locate(job.id)
+            assert (m, b) == _locate(search.layout, job.id)
+            assert search.where[job.id][1] is search.layout[m][b]
+
+
+# small jobs, so that batches hold several and job moves often pass
+ROOMY_SHAPES = {**SHAPES, "small jobs": functools.partial(tiny_config, size_range=(1, 3))}
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(
+    st.sampled_from(sorted(ROOMY_SHAPES)),
+    st.integers(1, 16),
+    st.integers(1, 3),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+)
+def test_job_move_checked_on_the_kept_summary(shape, n_jobs, n_machines, instance_seed, seed):
+    """A job move into a kept batch is rejected exactly when the merged
+    batch breaks a batch rule or the batch is the job's own, and a move
+    that passes gives the merged batch its summary."""
+    config = ROOMY_SHAPES[shape](n_jobs, instance_seed, n_machines=n_machines)
+    instance = generate_instance(config)
+    rng = random.Random(seed)
+    for search in _accepted_walk(instance, rng, rng.randrange(40)):
+        pass
+    for _ in range(30):
+        job = instance.job(rng.randrange(instance.n_jobs) + 1)
+        job_id = job.id
+        # half of the targets share the job's attribute and machine, where
+        # only capacity and processing times can fail
+        targets = [
+            (m, b)
+            for m, row in enumerate(search.layout)
+            for b, batch in enumerate(row)
+            if instance.job(batch[0]).attribute == job.attribute
+            and instance.machines[m].id in job.eligible
+        ]
+        if not targets or rng.random() < 0.5:
+            targets = [(m, b) for m, row in enumerate(search.layout) for b in range(len(row))]
+        target, b = rng.choice(targets)
+        host = search.layout[target][b]
+        merged = sorted([*host, job_id])
+        summary = summarize(instance, merged)
+        fault = batch_fault(instance, instance.machines[target], merged, summary)
+        edits = search.edit_rows(MoveJob(job_id, target, b))
+        assert (edits is None) == (job_id in host or fault is not None)
+        if edits is not None:
+            edit = edits[target]
+            k = next(k for k, batch in enumerate(edit.row) if job_id in batch)
+            assert edit.row[k] == merged
+            assert edit.summaries[k] == summary
 
 
 # The benchmark's 500-job instance and move budget (3 cooling levels). These

@@ -20,7 +20,7 @@ from ovensched import (
 )
 from ovensched.bounds import NoFeasiblePlacement, attribute_bounds, setup_cost_lb
 
-from conftest import EXAMPLE_OBJECTIVE_LB, tiny_config
+from conftest import EXAMPLE_OBJECTIVE_LB, examples, tiny_config
 
 
 def elig(instance, attribute):
@@ -260,7 +260,7 @@ def _reference_tardy_lb(instance, include_min_setup):
 
 # spread: short windows push jobs onto few starts, wide dues make lateness
 # depend on where each job can run
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(
     st.integers(1, 14),
     st.integers(0, 10**6),

@@ -17,7 +17,7 @@ from ovensched import (
 )
 from ovensched.greedy import Unschedulable
 
-from conftest import schedule_digest, tiny_config
+from conftest import examples, schedule_digest, tiny_config
 
 # frozen after the first verified run of the dispatching rule on the
 # example instance (feasible, and above the 0.7066 lower bound)
@@ -226,7 +226,7 @@ def _small_instances(draw):
     )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(_small_instances())
 def test_event_simulation_matches_unit_stepping(inst):
     assert _outcome(_greedy_schedule, inst) == _outcome(_unit_stepping_schedule, inst)
