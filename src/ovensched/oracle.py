@@ -9,7 +9,10 @@ on the eligible machines where schedule.batch_fault finds no fault; a block
 with no such machine ends the batchings that would contain it. Lower bounds
 from the bounds module can prune batchings whose bound already exceeds the
 incumbent; each block keeps its members that are late wherever it runs, from
-bounds.late_floor.
+bounds.late_floor. The order search on one machine cuts a prefix when an
+earlier prefix over the same blocks with the same last attribute ends no
+later and scores no more, which keeps both the optimum and its tie-break
+(_MachineOrderSearch).
 
 Objective comparisons use ObjectiveWeights.score, an integer rescaling of
 the normalized objective, so incumbent updates, tie-breaking and pruning
@@ -120,9 +123,17 @@ class _MachineOrderSearch:
     """Best batch order on one machine: minimal weighted tardy+setup score.
 
     Depth-first over block sequences in canonical order; prefixes that
-    cannot be scheduled are skipped, and a running setup-cost floor cuts
-    subtrees that cannot beat the incumbent. Ties keep the first (hence
-    lexicographically smallest) complete order. Results are memoized per
+    cannot be scheduled are skipped, a running setup-cost floor cuts
+    subtrees that cannot beat the incumbent, and a prefix is cut when an
+    earlier one over the same blocks with the same last attribute ends no
+    later and scores no more (dominance). Any completion of the cut prefix
+    fits after the earlier one at no higher score: Machine.earliest_start
+    is monotone in its lower bound, a block's tardy count in its end, and
+    setup cost depends only on the attributes. Prefixes of one length are
+    visited in lexicographic order, so the earlier prefix with that
+    completion also comes first, and ties keep the first (hence
+    lexicographically smallest) complete order, as without the cut. Every
+    visited prefix spends one node, cut or not. Results are memoized per
     block set.
     """
 
@@ -145,26 +156,36 @@ class _MachineOrderSearch:
 
     def best_order(self, machine: Machine, blocks: tuple[_Block, ...]):
         """Return (score, order, tardy, setup) or None if unschedulable."""
-        key = (machine.id, tuple(sorted(b.jobs for b in blocks)))
+        blocks = tuple(sorted(blocks, key=lambda b: b.jobs))
+        key = (machine.id, tuple(b.jobs for b in blocks))
         if key in self.cache:
             return self.cache[key]
-        blocks = tuple(sorted(blocks, key=lambda b: b.jobs))
         suffix_floor = sum(
             self.setup_scale * self.min_in_cost[b.summary.attribute] for b in blocks
         )
+        stride = self.instance.attribute_count + 1
+        # (placed-block bitmask, last attribute) -> flat [end, score, ...]
+        # of the prefixes visited so far
+        seen: dict[int, list[int]] = {}
         best: list = [None]
 
-        def descend(remaining: tuple[_Block, ...], order, prev_end, prev_attr,
+        def descend(remaining: tuple[int, ...], order, placed, prev_end, prev_attr,
                     score, tardy, setup, floor) -> None:
             self._spend()
             if best[0] is not None and score + floor >= best[0][0]:
                 return
+            front = seen.setdefault(placed * stride + prev_attr, [])
+            for i in range(0, len(front), 2):
+                if front[i] <= prev_end and front[i + 1] <= score:
+                    return
+            front += (prev_end, score)
             if not remaining:
                 best[0] = (score, order, tardy, setup)
                 return
             setup_times = self.instance.setup_times[prev_attr - 1]
             setup_costs = self.instance.setup_costs[prev_attr - 1]
-            for idx, block in enumerate(remaining):
+            for idx, b in enumerate(remaining):
+                block = blocks[b]
                 summary = block.summary
                 setup_time = setup_times[summary.attribute - 1]
                 start = machine.earliest_start(
@@ -178,6 +199,7 @@ class _MachineOrderSearch:
                 descend(
                     remaining[:idx] + remaining[idx + 1 :],
                     order + (block.jobs,),
+                    placed | 1 << b,
                     end,
                     summary.attribute,
                     score + self.tardy_scale * block_tardy + self.setup_scale * block_setup,
@@ -186,7 +208,8 @@ class _MachineOrderSearch:
                     floor - self.setup_scale * self.min_in_cost[summary.attribute],
                 )
 
-        descend(blocks, (), 0, machine.initial_attribute, 0, 0, 0, suffix_floor)
+        descend(tuple(range(len(blocks))), (), 0, 0, machine.initial_attribute,
+                0, 0, 0, suffix_floor)
         self.cache[key] = best[0]
         return best[0]
 
@@ -203,7 +226,9 @@ def exact_solve(
     setup-cost bound, necessarily-tardy members) strictly exceeds the
     incumbent are cut, which never changes the result.
     Every batching, assignment and order step spends one node of
-    limits.node_budget, so the budget bounds the whole search.
+    limits.node_budget, so the budget bounds the whole search; an order
+    prefix spends its node before it is tested against the incumbent and
+    against the earlier prefixes that may dominate it.
     """
     if instance.n_jobs > limits.max_jobs:
         raise BudgetExceeded(
