@@ -22,14 +22,17 @@ old batches (the run between its two edit points, the tail after the last)
 once it is those batches slid in time; the cost change is the new entries
 minus the replaced ones. Moves whose rows cannot be scheduled are
 discarded. Batch objects are built only for the returned best solution.
-What sample_move draws from (MoveSpace: jobs per row and per batch prefix
-of each row, the rows of two batches or more, the batch and job counts,
-each job's eligible machine indices) is kept with the layout and counted
-again only for the rows an accepted move changed, so a draw finds its job
-by the row totals and a bisect and does not scan the layout. The warm-up
-that calibrates the start temperature leaves the layout as it is, so a
-warm-up move drawn again reuses the delta of its first draw; every move is
-still drawn, so the random stream is that of a run without reuse.
+What sample_move draws from is kept with the layout as tables (MoveSpace:
+jobs per row and per batch prefix of each row, the layout-order index of
+each row's first batch, the rows of two batches or more, the job count,
+each job's eligible machine indices, and the move-kind thresholds), counted
+again only for the rows an accepted move changed, so a draw picks its kind
+by comparing with the thresholds and finds its job and its target batch by
+bisects, without a scan of the layout; a move into a new batch reads the
+job's kept one-job summary. The warm-up that calibrates the start
+temperature leaves the layout as it is, so a warm-up move drawn again
+reuses the delta of its first draw; every move is still drawn, so the
+random stream is that of a run without reuse.
 
 The rejoin rule. A batch is rigid when it starts exactly at its
 predecessor's end plus the setup time. If the predecessor of a rigid batch
@@ -151,27 +154,30 @@ class AnnealResult:
     stop_reason: str  # "final_temp", "time", "gap" or "no_moves"
 
 
-@dataclass(frozen=True)
+# Moves are value objects, equal and hashed by kind and fields: the warm-up
+# keys on them. They are slotted and not frozen, as sample_move builds one
+# per draw; nothing mutates a move, so its hash holds.
+@dataclass(slots=True, unsafe_hash=True)
 class SwapBatches:
     machine: int
     position: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ReinsertBatch:
     machine: int
     src: int
     dst: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MoveJob:
     job: int
     machine: int
     batch: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MoveJobNewBatch:
     job: int
     machine: int
@@ -181,33 +187,30 @@ class MoveJobNewBatch:
 Move = Union[SwapBatches, ReinsertBatch, MoveJob, MoveJobNewBatch]
 
 
-def _batch_at(layout: Layout, index: int) -> tuple[int, int]:
-    """(machine, batch) of the index-th batch in layout order."""
-    for m, row in enumerate(layout):
-        if index < len(row):
-            return m, index
-        index -= len(row)
-    raise IndexError("batch index out of range")
-
-
 class MoveSpace:
-    """What sample_move draws from in a layout.
+    """What sample_move draws from in a layout, kept as tables.
 
     row_jobs[m] counts the jobs of machine row m and prefix_jobs[m][b] those
     of its batches 0 to b, so a drawn job index is found by the row totals
-    and a bisect. multi_batch lists the rows of two batches or more in
-    machine order, batches and jobs count the layout's batches and jobs,
-    and eligible[job id] holds the indices of the job's eligible machines in
-    increasing machine-id order. A layout without jobs has no move, so it is
-    rejected with a ValueError.
+    and a bisect. first_batch[m] is the layout-order index of row m's first
+    batch (first_batch[-1] counts the layout's batches), so a drawn batch
+    index is found by a bisect that passes over empty rows. multi_batch
+    lists the rows of two batches or more in machine order, jobs counts the
+    layout's jobs, and eligible[job id] holds the indices of the job's
+    eligible machines in increasing machine-id order. kinds is (total, c0,
+    c1, c2, c3): the sum of the kind weights (MOVE_PROBS, each kind without
+    arguments weighted 0) and their cumulative sums, which change only when
+    multi_batch empties or fills or the batch count crosses 2. A layout
+    without jobs has no move, so it is rejected with a ValueError.
     """
 
     row_jobs: list[int]
     prefix_jobs: list[list[int]]
+    first_batch: list[int]
     multi_batch: list[int]
-    batches: int
     jobs: int
     eligible: dict[int, tuple[int, ...]]
+    kinds: tuple[float, float, float, float, float]
 
     def __init__(self, instance: Instance, layout: Layout):
         index = {machine.id: m for m, machine in enumerate(instance.machines)}
@@ -220,27 +223,41 @@ class MoveSpace:
             )
         self.row_jobs = [0] * len(layout)
         self.prefix_jobs = [[] for _ in layout]
+        self.first_batch = [0]
         self.multi_batch = []
-        self.batches = 0
         self.recount(layout, range(len(layout)))
         self.jobs = sum(self.row_jobs)
+        self._weigh()
+
+    def _weigh(self) -> None:
+        several, multi = self.first_batch[-1] >= 2, bool(self.multi_batch)
+        weights = (
+            MOVE_PROBS[0] if multi else 0.0,
+            MOVE_PROBS[1] if multi else 0.0,
+            MOVE_PROBS[2] if several else 0.0,
+            MOVE_PROBS[3],
+        )
+        self.kinds = (sum(weights), *accumulate(weights))
 
     def recount(self, layout: Layout, rows: Iterable[int]) -> None:
         """Count the given rows again after they changed; a move keeps `jobs`.
 
-        The batch total moves by each row's difference, and multi_batch is
-        listed again only when a row crosses two batches.
+        multi_batch is listed again only when a row crosses two batches, and
+        kinds only when multi_batch empties or fills or the batch count
+        crosses 2.
         """
+        before = self.first_batch[-1] >= 2, bool(self.multi_batch)
         crossed = False
         for m in rows:
             prefix = list(accumulate(map(len, layout[m])))
-            before = len(self.prefix_jobs[m])
+            crossed = crossed or (len(self.prefix_jobs[m]) >= 2) != (len(prefix) >= 2)
             self.prefix_jobs[m] = prefix
             self.row_jobs[m] = prefix[-1] if prefix else 0
-            self.batches += len(prefix) - before
-            crossed = crossed or (before >= 2) != (len(prefix) >= 2)
+        self.first_batch = [0, *accumulate(map(len, layout))]
         if crossed:
             self.multi_batch = [m for m, row in enumerate(layout) if len(row) >= 2]
+        if before != (self.first_batch[-1] >= 2, bool(self.multi_batch)):
+            self._weigh()
 
     def job_at(self, layout: Layout, index: int) -> tuple[int, int, int]:
         """(job id, machine, batch) of the index-th job in layout order."""
@@ -264,42 +281,29 @@ def sample_move(layout: Layout, rng: random.Random, space: MoveSpace) -> Move:
     as the layout has a job. Jobs and batches are drawn by their index in
     layout order, and a job moves into any batch but its own.
     """
-    multi_batch, total_batches, total_jobs = space.multi_batch, space.batches, space.jobs
-    weights = (
-        MOVE_PROBS[0] if multi_batch else 0.0,
-        MOVE_PROBS[1] if multi_batch else 0.0,
-        MOVE_PROBS[2] if total_batches >= 2 else 0.0,
-        MOVE_PROBS[3],
-    )
-    total = sum(weights)
+    total, c0, c1, c2, _ = space.kinds
     draw = rng.random() * total
-    kind = 0
-    acc = 0.0
-    for kind, w in enumerate(weights):
-        acc += w
-        if draw < acc:
-            break
-
     # randrange(n) without its argument checks; every n below is positive
     randbelow = rng._randbelow
-    if kind == 0:
+    if draw < c1:
+        multi_batch = space.multi_batch
         machine = multi_batch[randbelow(len(multi_batch))]
-        return SwapBatches(machine, randbelow(len(layout[machine]) - 1))
-    if kind == 1:
-        machine = multi_batch[randbelow(len(multi_batch))]
+        if draw < c0:
+            return SwapBatches(machine, randbelow(len(layout[machine]) - 1))
         length = len(layout[machine])
         src = randbelow(length)
         dst = randbelow(length - 1)
         if dst >= src:
             dst += 1
         return ReinsertBatch(machine, src, dst)
-    job_id, m0, b0 = space.job_at(layout, randbelow(total_jobs))
-    if kind == 2:
-        slot = randbelow(total_batches - 1)
-        if slot >= sum(map(len, layout[:m0])) + b0:
+    job_id, m0, b0 = space.job_at(layout, randbelow(space.jobs))
+    if draw < c2:
+        first_batch = space.first_batch
+        slot = randbelow(first_batch[-1] - 1)
+        if slot >= first_batch[m0] + b0:
             slot += 1
-        machine, batch = _batch_at(layout, slot)
-        return MoveJob(job_id, machine, batch)
+        machine = bisect_right(first_batch, slot) - 1
+        return MoveJob(job_id, machine, slot - first_batch[machine])
     eligible = space.eligible[job_id]
     machine = eligible[randbelow(len(eligible))]
     return MoveJobNewBatch(job_id, machine, randbelow(len(layout[machine]) + 1))
@@ -441,7 +445,8 @@ def _reschedule(instance: Instance, machine: Machine, edit: _RowEdit) -> bool:
                 continue
         summary = summaries[i]
         setup_time = setup_times[attribute - 1][summary.attribute - 1]
-        begin = earliest_start(max(summary.release, end + setup_time), setup_time, summary.proc)
+        lower, release = end + setup_time, summary.release
+        begin = earliest_start(lower if lower > release else release, setup_time, summary.proc)
         if begin is None:
             return False
         end = begin + summary.proc
@@ -539,9 +544,10 @@ class _Search:
     time, tardy jobs, setup cost) of the whole layout. where[job id] is
     (m, batch): the job's machine index and the batch (list) that holds it.
     Batches are disjoint and never empty, so the job's batch is the one in
-    row m that equals it. space is the layout's MoveSpace, kept for
-    sample_move. accept updates where and space only for what the move
-    changed: the batches it made and the rows it edited.
+    row m that equals it. solo[job id] is the summary of the job alone,
+    which a move into a new batch reads. space is the layout's MoveSpace,
+    kept for sample_move. accept updates where and space only for what the
+    move changed: the batches it made and the rows it edited.
     """
 
     def __init__(self, instance: Instance, layout: Layout):
@@ -560,6 +566,7 @@ class _Search:
             self.rows.append(_materialize(instance, machine, edit))
         self.totals = tuple(map(sum, zip(*(r.cost for r in self.rows))))
         self.where = {j: (m, b) for m, row in enumerate(self.layout) for b in row for j in b}
+        self.solo = {j.id: summarize(instance, [j.id]) for j in instance.jobs}
         self.space = MoveSpace(instance, self.layout)
 
     def locate(self, job_id: int) -> tuple[int, int]:
@@ -575,7 +582,8 @@ class _Search:
         when the job has the batch's attribute and the machine, and the
         sizes and the processing-time intervals of the batch's summary and
         the job fit together; only then is the merged batch built, and its
-        summary is the kept one with the job added.
+        summary is the kept one with the job added. A job moved into a new
+        batch is tested on its kept one-job summary (solo).
         """
         kind, target = type(move), move.machine
         if kind is SwapBatches or kind is ReinsertBatch:
@@ -615,8 +623,7 @@ class _Search:
             )
             batch = sorted([*self.layout[target][b], job_id])
         else:
-            batch = [job_id]
-            summary = summarize(instance, batch)
+            batch, summary = [job_id], self.solo[job_id]
             if batch_fault(instance, machine, batch, summary) is not None:
                 return None
         m0, b0 = self.locate(job_id)

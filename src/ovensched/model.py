@@ -45,7 +45,7 @@ class Machine:
         when no window can host the span.
         """
         for win_start, win_end in self.availability:
-            start = max(lower, win_start + setup)
+            start = lower if lower > win_start + setup else win_start + setup
             if start + proc <= win_end:
                 return start
         return None

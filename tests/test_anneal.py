@@ -8,7 +8,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ovensched import (
     AnnealParams,
@@ -34,7 +34,7 @@ from ovensched import (
     sample_move,
 )
 from ovensched import anneal
-from ovensched.anneal import MoveSpace, _materialize, _Search
+from ovensched.anneal import MOVE_PROBS, MoveSpace, _materialize, _Search
 from ovensched.schedule import batch_fault, machine_cost, schedule_machine, summarize
 
 from conftest import EXAMPLE_OBJECTIVE_LB, examples, schedule_digest, tiny_config
@@ -199,6 +199,14 @@ def test_move_job_cheap_rejections(example):
     assert edited_layout(search, move) is None
     assert search.evaluate(move) is None
     assert apply_move(example, search.layout, move) == [[[3], [1]], [[9]]]
+    # a new batch over capacity: job 1 (size 18) alone on machine 2 cut to
+    # capacity 17, where jobs 3 (size 17) and 9 still fit
+    machines = (example.machines[0], replace(example.machines[1], capacity=17))
+    small = replace(example, machines=machines)
+    search = _Search(small, [[[1]], [[3], [9]]])
+    move = MoveJobNewBatch(job=1, machine=1, position=0)
+    assert edited_layout(search, move) is None
+    assert apply_move(small, search.layout, move) is None
 
 
 def test_move_job_passes_cheap_checks_and_reschedules(example):
@@ -571,6 +579,135 @@ def test_job_at_matches_a_linear_scan(sizes):
 )
 def test_job_at_matches_a_linear_scan_on_random_layouts(sizes, seed):
     _check_job_at(sizes, seed)
+
+
+def _batch_at(layout, index):
+    """Reference: (machine, batch) of the index-th batch in layout order by
+    a linear scan."""
+    for m, row in enumerate(layout):
+        if index < len(row):
+            return m, index
+        index -= len(row)
+    raise IndexError("batch index out of range")
+
+
+def _reference_draw(instance, layout, rng):
+    """Reference for sample_move: the kind weights built, summed and walked
+    on every draw, and every count taken by a scan of the layout."""
+    multi_batch = [m for m, row in enumerate(layout) if len(row) >= 2]
+    total_batches = sum(map(len, layout))
+    weights = (
+        MOVE_PROBS[0] if multi_batch else 0.0,
+        MOVE_PROBS[1] if multi_batch else 0.0,
+        MOVE_PROBS[2] if total_batches >= 2 else 0.0,
+        MOVE_PROBS[3],
+    )
+    draw = rng.random() * sum(weights)
+    kind = 0
+    acc = 0.0
+    for kind, w in enumerate(weights):
+        acc += w
+        if draw < acc:
+            break
+    randbelow = rng._randbelow
+    if kind == 0:
+        machine = multi_batch[randbelow(len(multi_batch))]
+        return SwapBatches(machine, randbelow(len(layout[machine]) - 1))
+    if kind == 1:
+        machine = multi_batch[randbelow(len(multi_batch))]
+        length = len(layout[machine])
+        src = randbelow(length)
+        dst = randbelow(length - 1)
+        if dst >= src:
+            dst += 1
+        return ReinsertBatch(machine, src, dst)
+    row_jobs = [sum(map(len, row)) for row in layout]
+    job_id, m0, b0 = _job_at(layout, row_jobs, randbelow(sum(row_jobs)))
+    if kind == 2:
+        slot = randbelow(total_batches - 1)
+        if slot >= sum(map(len, layout[:m0])) + b0:
+            slot += 1
+        return MoveJob(job_id, *_batch_at(layout, slot))
+    index = {machine.id: m for m, machine in enumerate(instance.machines)}
+    eligible = [index[i] for i in sorted(instance.job(job_id).eligible)]
+    machine = eligible[randbelow(len(eligible))]
+    return MoveJobNewBatch(job_id, machine, randbelow(len(layout[machine]) + 1))
+
+
+def _roomy_instance(n_machines, eligible, seed):
+    """An instance where any layout of its jobs can be scheduled: one
+    attribute, unit sizes, capacity 100, one long window per machine and
+    processing-time intervals that all meet. Job j is eligible on the
+    machine ids eligible[j - 1]."""
+    rng = random.Random(seed)
+    machines = tuple(Machine(m, 100, 1, ((0, 10**6),)) for m in range(1, n_machines + 1))
+    jobs = tuple(
+        Job(j, 1, 1, rng.randrange(50), rng.randrange(50, 200), 5, 50, frozenset(ids))
+        for j, ids in enumerate(eligible, 1)
+    )
+    return Instance(machines, jobs, 1, ((3,),), ((2,),))
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(
+    st.lists(st.lists(st.integers(1, 4), max_size=5), min_size=1, max_size=3).filter(
+        lambda sizes: any(sizes)
+    ),
+    st.integers(0, 10**6),
+)
+@example([[3]], 0)  # a single row of a single batch
+@example([[], [2], []], 1)  # one batch between empty rows
+@example([[1], [2], [1, 1]], 2)  # rows of one batch
+def test_sample_move_matches_the_reference_draw(sizes, seed):
+    """sample_move on the kept MoveSpace draws the move, and leaves the
+    random state, that the reference draw does from the same state, on
+    random layouts and after accepted moves."""
+    layout = _layout_of_sizes(sizes, seed)
+    coin = random.Random(seed)
+    eligible = [set() for _ in range(sum(map(sum, sizes)))]
+    for m, row in enumerate(layout, 1):
+        for job_id in (j for batch in row for j in batch):
+            others = (k for k in range(1, len(layout) + 1) if coin.random() < 0.5)
+            eligible[job_id - 1] = {m, *others}
+    instance = _roomy_instance(len(layout), eligible, seed)
+    search = _Search(instance, layout)
+    rng, twin = random.Random(seed), random.Random(seed)
+    for _ in range(60):
+        move = sample_move(search.layout, rng, search.space)
+        assert _reference_draw(instance, search.layout, twin) == move
+        assert twin.getstate() == rng.getstate()
+        outcome = search.evaluate(move)
+        if outcome is not None and coin.random() < 0.5:
+            search.accept(move, *outcome)
+
+
+def test_kind_thresholds_follow_crossings():
+    """Each accept below changes which move kinds have arguments; the kept
+    MoveSpace must then equal a fresh one and draw only those kinds."""
+    instance = _roomy_instance(2, [{1, 2}, {1, 2}], 0)
+    search = _Search(instance, [[[1], [2]], []])
+    rng = random.Random(0)
+    steps = [
+        # merges the last two batches: a single batch is left, and only a
+        # move into a new batch has arguments
+        (MoveJob(job=2, machine=0, batch=0), [[[1, 2]], []], {MoveJobNewBatch}),
+        # two batches, each alone in its row: job moves only
+        (MoveJobNewBatch(job=1, machine=1, position=0), [[[2]], [[1]]], {MoveJob, MoveJobNewBatch}),
+        # row 1 crosses two batches and row 0 empties: every kind
+        (
+            MoveJobNewBatch(job=2, machine=1, position=1),
+            [[], [[1], [2]]],
+            {SwapBatches, ReinsertBatch, MoveJob, MoveJobNewBatch},
+        ),
+    ]
+    for move, layout, kinds in steps:
+        outcome = search.evaluate(move)
+        assert outcome is not None
+        search.accept(move, *outcome)
+        assert search.layout == layout
+        assert vars(search.space) == vars(MoveSpace(instance, layout))
+        drawn = {type(sample_move(search.layout, rng, search.space)) for _ in range(300)}
+        assert drawn == kinds
 
 
 def _accepted_walk(instance, rng, moves):
