@@ -115,6 +115,10 @@ def _open_batch(
     would fit this machine within its start threshold, so the scan would
     have placed it already: a machine's thresholds only fall within one
     visited time, and after a zero processing time the scan restarts.
+    The batch rules are tested inline on running totals, not through a
+    BatchSummary: a fill that joined each job to a summary gave the same
+    schedules but made construct 1.1x, 1.4x and 1.6x slower at n=100, 500
+    and 1000 (5 machines, 5 attributes).
     """
     machine = state.machine
     lead = ready[i]

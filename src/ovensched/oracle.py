@@ -3,16 +3,17 @@
 Ground truth for bound soundness and solver quality checks. One generator
 enumerates all attribute-homogeneous batchings, then every batch-to-machine
 assignment and every batch order per machine is tried; each candidate is
-scheduled deterministically and one incumbent keeps the cheapest. Each
-candidate batch (a block) is summarized once (schedule.summarize) and may run
-on the eligible machines where schedule.batch_fault finds no fault; a block
-with no such machine ends the batchings that would contain it. Lower bounds
-from the bounds module can prune batchings whose bound already exceeds the
-incumbent; each block keeps its members that are late wherever it runs, from
-bounds.late_floor. The order search on one machine cuts a prefix when an
-earlier prefix over the same blocks with the same last attribute ends no
-later and scores no more, which keeps both the optimum and its tie-break
-(_MachineOrderSearch).
+scheduled deterministically. One incumbent keeps the least score and its
+layout, and the optimum's components come from pricing it once
+(schedule.evaluate). Each candidate batch (a block) is summarized once
+(schedule.summarize) and may run on the eligible machines where
+schedule.batch_fault finds no fault; a block with no such machine ends the
+batchings that would contain it. Lower bounds from the bounds module can
+prune batchings whose bound already exceeds the incumbent; each block keeps
+its members that are late wherever it runs, from bounds.late_floor. The
+order search on one machine cuts a prefix when an earlier prefix over the
+same blocks with the same last attribute ends no later and scores no more,
+which keeps both the optimum and its tie-break (_MachineOrderSearch).
 
 Objective comparisons use ObjectiveWeights.score, an integer rescaling of
 the normalized objective, so incumbent updates, tie-breaking and pruning
@@ -87,22 +88,23 @@ def _make_block(instance: Instance, ids: tuple[int, ...]) -> _Block:
 
 def _batchings(
     instance: Instance, block_of: Callable[[tuple[int, ...]], _Block]
-) -> Iterator[tuple[tuple[int, ...], ...]]:
+) -> Iterator[list[_Block]]:
     """All batchings of the jobs into blocks that have a machine to run on.
 
     Jobs are taken in (attribute, id) order, so every block's ids come out
     sorted. Each job joins an open block of its own attribute or opens a new
     one (restricted growth), and a block is kept only while
-    block_of(ids).machines is non-empty. The deepest jobs vary fastest, so
-    the sequence is deterministic and duplicate-free, and it is generated
-    lazily so that the caller's node budget bounds the work.
+    block_of(ids).machines is non-empty; a batching is yielded as its
+    blocks. The deepest jobs vary fastest, so the sequence is deterministic
+    and duplicate-free, and it is generated lazily so that the caller's
+    node budget bounds the work.
     """
     jobs = sorted((j.attribute, j.id) for j in instance.jobs)
     blocks: list[tuple[int, list[int]]] = []
 
-    def grow(index: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    def grow(index: int) -> Iterator[list[_Block]]:
         if index == len(jobs):
-            yield tuple(tuple(ids) for _, ids in blocks)
+            yield [block_of(tuple(ids)) for _, ids in blocks]
             return
         attribute, job_id = jobs[index]
         for block_attribute, ids in blocks:
@@ -133,8 +135,10 @@ class _MachineOrderSearch:
     visited in lexicographic order, so the earlier prefix with that
     completion also comes first, and ties keep the first (hence
     lexicographically smallest) complete order, as without the cut. Every
-    visited prefix spends one node, cut or not. Results are memoized per
-    block set.
+    visited prefix spends one node, cut or not. A prefix carries its score
+    and the bitmask of its placed blocks; the components of the optimum
+    come from evaluating it (exact_solve). Results are memoized per block
+    set.
     """
 
     def __init__(self, instance: Instance, weights: ObjectiveWeights, budget: int):
@@ -155,7 +159,7 @@ class _MachineOrderSearch:
             raise BudgetExceeded(f"node budget {self.budget} exhausted")
 
     def best_order(self, machine: Machine, blocks: tuple[_Block, ...]):
-        """Return (score, order, tardy, setup) or None if unschedulable."""
+        """Return (score, order) or None if unschedulable."""
         blocks = tuple(sorted(blocks, key=lambda b: b.jobs))
         key = (machine.id, tuple(b.jobs for b in blocks))
         if key in self.cache:
@@ -168,9 +172,9 @@ class _MachineOrderSearch:
         # of the prefixes visited so far
         seen: dict[int, list[int]] = {}
         best: list = [None]
+        complete = (1 << len(blocks)) - 1
 
-        def descend(remaining: tuple[int, ...], order, placed, prev_end, prev_attr,
-                    score, tardy, setup, floor) -> None:
+        def descend(order, placed, prev_end, prev_attr, score, floor) -> None:
             self._spend()
             if best[0] is not None and score + floor >= best[0][0]:
                 return
@@ -179,13 +183,14 @@ class _MachineOrderSearch:
                 if front[i] <= prev_end and front[i + 1] <= score:
                     return
             front += (prev_end, score)
-            if not remaining:
-                best[0] = (score, order, tardy, setup)
+            if placed == complete:
+                best[0] = (score, order)
                 return
             setup_times = self.instance.setup_times[prev_attr - 1]
             setup_costs = self.instance.setup_costs[prev_attr - 1]
-            for idx, b in enumerate(remaining):
-                block = blocks[b]
+            for b, block in enumerate(blocks):
+                if placed >> b & 1:
+                    continue
                 summary = block.summary
                 setup_time = setup_times[summary.attribute - 1]
                 start = machine.earliest_start(
@@ -197,19 +202,15 @@ class _MachineOrderSearch:
                 block_tardy = bisect_left(summary.dues, end)
                 block_setup = setup_costs[summary.attribute - 1]
                 descend(
-                    remaining[:idx] + remaining[idx + 1 :],
                     order + (block.jobs,),
                     placed | 1 << b,
                     end,
                     summary.attribute,
                     score + self.tardy_scale * block_tardy + self.setup_scale * block_setup,
-                    tardy + block_tardy,
-                    setup + block_setup,
                     floor - self.setup_scale * self.min_in_cost[summary.attribute],
                 )
 
-        descend(tuple(range(len(blocks))), (), 0, 0, machine.initial_attribute,
-                0, 0, 0, suffix_floor)
+        descend((), 0, 0, machine.initial_attribute, 0, suffix_floor)
         self.cache[key] = best[0]
         return best[0]
 
@@ -244,12 +245,11 @@ def exact_solve(
     machine_index = {m.id: idx for idx, m in enumerate(instance.machines)}
     search = _MachineOrderSearch(instance, weights, limits.node_budget)
     block_of = functools.cache(functools.partial(_make_block, instance))
-    # the incumbent: (score, layout, proc, tardy, setup)
+    # the incumbent: (score, layout)
     best: tuple | None = None
 
-    for batching in _batchings(instance, block_of):
+    for blocks in _batchings(instance, block_of):
         search._spend()
-        blocks = [block_of(ids) for ids in batching]
         proc_fixed = sum(b.summary.proc for b in blocks)
 
         if prune_with_lb:
@@ -277,10 +277,8 @@ def exact_solve(
             else:
                 score = weights.score(proc_fixed, 0, 0) + sum(o[0] for o in outcomes)
                 layout = tuple(o[1] for o in outcomes)
-                if best is None or (score, layout) < best[:2]:
-                    tardy = sum(o[2] for o in outcomes)
-                    setup = sum(o[3] for o in outcomes)
-                    best = (score, layout, proc_fixed, tardy, setup)
+                if best is None or (score, layout) < best:
+                    best = (score, layout)
 
     if best is None:
         raise Infeasible("no complete feasible schedule exists")
@@ -288,5 +286,5 @@ def exact_solve(
     solution = build_schedule(instance, best[1])
     cost = evaluate(instance, solution, weights, check=False)
     # the decomposed search and the scheduler must agree
-    assert best[2:] == (cost.proc_time, cost.tardy, cost.setup_cost)
+    assert best[0] == weights.score(cost.proc_time, cost.tardy, cost.setup_cost)
     return OracleResult(solution=solution, cost=cost, nodes=search.nodes)

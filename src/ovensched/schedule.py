@@ -11,11 +11,15 @@ start times against the windows on its own.
 The batch rules that do not depend on a batch's position (one attribute,
 eligibility, capacity, compatible processing times) live here once:
 summarize reads a batch's jobs in one pass into a BatchSummary, and
-batch_fault tests the rules on it. schedule_machine, the annealer's
-incremental move evaluation and the exact oracle take a batch's fields
-only from its summary and test the rules only with batch_fault, then place
-the batch with Machine.earliest_start, after the previous batch's end plus
-setup and the batch's latest release. check_feasibility, which reports
+batch_fault tests the rules on it. schedule_machine, the exact oracle and
+the annealer's move into a new batch test a whole batch with batch_fault.
+Two places test one job against a batch being grown inline instead: the
+annealer's job move (anneal._Search.edit_rows) on the kept summary of its
+target batch, before the merged batch is built, and greedy's fill
+(greedy._open_batch) on its running totals, which it keeps for speed (see
+there). Every batch is placed with Machine.earliest_start, after the
+previous batch's end plus setup and the batch's latest release.
+check_feasibility, which reports
 every rule that given batches break, is the one independent reading, and
 stays independent on purpose: it is the reference that evaluate(check=True)
 and the benchmark's checks hold the annealer's and the oracle's output to,

@@ -173,11 +173,30 @@ def test_evaluate_infeasible_solution_exits_2(capsys, tmp_path):
     assert "assignment" in err or "availability" in err
 
 
+# the whole oracle report on the fixture: optimum, node count and the
+# tie-broken schedule; the node count pins the search itself
+_FIXTURE_ORACLE = """\
+optimal proc 158 tardy 8 setup 72 objective 0.802201
+nodes 25669
+osp-solution v1
+machine 1
+batch start 21 processing 19 jobs 4
+batch start 40 processing 11 jobs 5 7
+batch start 59 processing 11 jobs 1
+batch start 78 processing 10 jobs 2
+batch start 96 processing 50 jobs 8
+machine 2
+batch start 111 processing 19 jobs 3
+batch start 133 processing 19 jobs 9 10
+batch start 152 processing 19 jobs 6
+"""
+
+
 def test_oracle_fixture(capsys):
-    code, out, _ = run(capsys, "oracle", EXAMPLE, "--max-jobs", "10")
+    code, out, err = run(capsys, "oracle", EXAMPLE, "--max-jobs", "10")
     assert code == 0
-    assert "optimal proc 158 tardy 8 setup 72" in out
-    assert "nodes" in out
+    assert out == f"instance {EXAMPLE}\n" + _FIXTURE_ORACLE
+    assert "solved in" in err  # timing stays on stderr
 
 
 def test_oracle_budget_exit_3(capsys):

@@ -139,6 +139,8 @@ def test_best_order_matches_every_permutation(
         for size in range(1, min(count, len(blocks)) + 1):
             for subset in itertools.combinations(blocks[:count], size):
                 expected = _reference_order(instance, machine, subset)
+                if expected is not None:
+                    expected = expected[:2]  # (score, order)
                 assert search.best_order(machine, subset[::-1]) == expected
 
 
