@@ -28,11 +28,12 @@ each row's first batch, the rows of two batches or more, the job count,
 each job's eligible machine indices, and the move-kind thresholds), counted
 again only for the rows an accepted move changed, so a draw picks its kind
 by comparing with the thresholds and finds its job and its target batch by
-bisects, without a scan of the layout; a move into a new batch reads the
-job's kept one-job summary. The warm-up that calibrates the start
-temperature leaves the layout as it is, so a warm-up move drawn again
-reuses the delta of its first draw; every move is still drawn, so the
-random stream is that of a run without reuse.
+bisects, without a scan of the layout; a job move carries the machine and
+batch the draw found the job in, so the edit takes it out there, and a
+move into a new batch reads the job's kept one-job summary. The warm-up
+that calibrates the start temperature leaves the layout as it is, so a
+warm-up move drawn again reuses the delta of its first draw; every move is
+still drawn, so the random stream is that of a run without reuse.
 
 The rejoin rule. A batch is rigid when it starts exactly at its
 predecessor's end plus the setup time. If the predecessor of a rigid batch
@@ -156,7 +157,9 @@ class AnnealResult:
 
 # Moves are value objects, equal and hashed by kind and fields: the warm-up
 # keys on them. They are slotted and not frozen, as sample_move builds one
-# per draw; nothing mutates a move, so its hash holds.
+# per draw; nothing mutates a move, so its hash holds. A job move names the
+# job's machine index and batch position as the draw found them, as a
+# reinsert names its src, so the edit finds the batch the job leaves there.
 @dataclass(slots=True, unsafe_hash=True)
 class SwapBatches:
     machine: int
@@ -175,6 +178,8 @@ class MoveJob:
     job: int
     machine: int
     batch: int
+    from_machine: int
+    from_batch: int
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -182,6 +187,8 @@ class MoveJobNewBatch:
     job: int
     machine: int
     position: int
+    from_machine: int
+    from_batch: int
 
 
 Move = Union[SwapBatches, ReinsertBatch, MoveJob, MoveJobNewBatch]
@@ -279,7 +286,8 @@ def sample_move(layout: Layout, rng: random.Random, space: MoveSpace) -> Move:
     excluded from the draw (the distribution is the same as resampling until
     a usable kind comes up); a move into a new batch always has arguments,
     as the layout has a job. Jobs and batches are drawn by their index in
-    layout order, and a job moves into any batch but its own.
+    layout order, and a job moves into any batch but its own, the one its
+    move names as from_machine and from_batch.
     """
     total, c0, c1, c2, _ = space.kinds
     draw = rng.random() * total
@@ -303,10 +311,10 @@ def sample_move(layout: Layout, rng: random.Random, space: MoveSpace) -> Move:
         if slot >= first_batch[m0] + b0:
             slot += 1
         machine = bisect_right(first_batch, slot) - 1
-        return MoveJob(job_id, machine, slot - first_batch[machine])
+        return MoveJob(job_id, machine, slot - first_batch[machine], m0, b0)
     eligible = space.eligible[job_id]
     machine = eligible[randbelow(len(eligible))]
-    return MoveJobNewBatch(job_id, machine, randbelow(len(layout[machine]) + 1))
+    return MoveJobNewBatch(job_id, machine, randbelow(len(layout[machine]) + 1), m0, b0)
 
 
 State = tuple[int, int, int, int, int]
@@ -346,9 +354,6 @@ class _RowEdit:
     0 or +1 and start <= lo <= hi <= stop; move and the same-row job moves
     of _Search.edit_rows set it, and it is None otherwise. Batches are
     never changed in place, so unchanged ones are shared with the old row.
-    made lists the batches the edit made (replace adds its batch, and
-    _Search.edit_rows the new batch it inserts), to which _Search.accept
-    maps their jobs.
 
     _reschedule sets cost, slid and states. slid lists, in row order, the
     stretches that slid as (first, hi, shift, offset): row[first:hi] are
@@ -358,7 +363,7 @@ class _RowEdit:
     """
 
     __slots__ = (
-        "old", "row", "summaries", "start", "stop", "run", "made", "states", "cost", "slid"
+        "old", "row", "summaries", "start", "stop", "run", "states", "cost", "slid"
     )
 
     def __init__(self, old: _Row, batches: list[list[int]]):
@@ -368,12 +373,10 @@ class _RowEdit:
         self.start = len(batches)
         self.stop = 0
         self.run = None
-        self.made: list[list[int]] = []
 
     def replace(self, b: int, batch: list[int], summary: BatchSummary) -> None:
         self.row[b] = batch
         self.summaries[b] = summary
-        self.made.append(batch)
         self.start = min(self.start, b)
         self.stop = max(self.stop, b + 1)
 
@@ -541,13 +544,10 @@ class _Search:
     layout[m] holds machine row m's batches and rows[m] their summaries and
     per-position schedule state (_Row), so a move is costed by rescheduling
     only the changed part of the rows it edits. totals are the (processing
-    time, tardy jobs, setup cost) of the whole layout. where[job id] is
-    (m, batch): the job's machine index and the batch (list) that holds it.
-    Batches are disjoint and never empty, so the job's batch is the one in
-    row m that equals it. solo[job id] is the summary of the job alone,
-    which a move into a new batch reads. space is the layout's MoveSpace,
-    kept for sample_move. accept updates where and space only for what the
-    move changed: the batches it made and the rows it edited.
+    time, tardy jobs, setup cost) of the whole layout. solo[job id] is the
+    summary of the job alone, which a move into a new batch reads. space is
+    the layout's MoveSpace, kept for sample_move; accept counts it again
+    only for the rows the move edited.
     """
 
     def __init__(self, instance: Instance, layout: Layout):
@@ -565,17 +565,13 @@ class _Search:
                 raise ValueError(f"machine {machine.id} row cannot be scheduled")
             self.rows.append(_materialize(instance, machine, edit))
         self.totals = tuple(map(sum, zip(*(r.cost for r in self.rows))))
-        self.where = {j: (m, b) for m, row in enumerate(self.layout) for b in row for j in b}
         self.solo = {j.id: summarize(instance, [j.id]) for j in instance.jobs}
         self.space = MoveSpace(instance, self.layout)
-
-    def locate(self, job_id: int) -> tuple[int, int]:
-        m, batch = self.where[job_id]
-        return m, self.layout[m].index(batch)
 
     def edit_rows(self, move: Move) -> dict[int, _RowEdit] | None:
         """The rows a move edits, by machine index.
 
+        A job move leaves the batch it names (from_machine, from_batch).
         None when the move would put a job into its own batch, or when the
         batch a job move makes breaks a batch rule (schedule.batch_fault). A
         kept batch obeys the rules on its machine, so a job joins it exactly
@@ -596,10 +592,10 @@ class _Search:
 
         instance = self.instance
         machine = instance.machines[target]
-        job_id = move.job
+        job_id, m0, b0 = move.job, move.from_machine, move.from_batch
         if kind is MoveJob:
             b = move.batch
-            if self.layout[target][b] is self.where[job_id][1]:
+            if (target, b) == (m0, b0):
                 return None
             job, host = instance.job(job_id), self.rows[target].summaries[b]
             proc, max_time = max(host.proc, job.min_time), min(host.max_time, job.max_time)
@@ -626,7 +622,6 @@ class _Search:
             batch, summary = [job_id], self.solo[job_id]
             if batch_fault(instance, machine, batch, summary) is not None:
                 return None
-        m0, b0 = self.locate(job_id)
         edits = {target: _RowEdit(self.rows[target], self.layout[target])}
         if m0 != target:
             edits[m0] = _RowEdit(self.rows[m0], self.layout[m0])
@@ -638,7 +633,6 @@ class _Search:
             edits[m0].remove_job(instance, b0, job_id)
             b = min(move.position, len(edit.row))
             edit.insert(b, batch, summary)
-            edit.made.append(batch)
         if m0 == target:
             # the run between the two edit points; batch b0 is gone from
             # the row when the job was its only one
@@ -669,16 +663,11 @@ class _Search:
             setup += new[2] - old[2]
         return edits, (proc, tardy, setup)
 
-    def accept(self, move: Move, edits: dict[int, _RowEdit], totals: tuple[int, int, int]) -> None:
+    def accept(self, edits: dict[int, _RowEdit], totals: tuple[int, int, int]) -> None:
         """Take an evaluated move: each edit's batches and materialized row become current."""
-        where = self.where
         for m, edit in edits.items():
             self.rows[m] = _materialize(self.instance, self.instance.machines[m], edit)
             self.layout[m] = edit.row
-            for batch in edit.made:
-                place = m, batch
-                for job_id in batch:
-                    where[job_id] = place
         self.space.recount(self.layout, edits)
         self.totals = totals
 
@@ -780,7 +769,7 @@ def run_annealing(
             new_obj = objective(*totals, n_jobs)
             delta = new_obj - current_obj
             if delta <= 0 or uniform() < exp(-delta / temperature):
-                search.accept(move, edits, totals)
+                search.accept(edits, totals)
                 current_obj = new_obj
                 if new_obj < best_cost.objective:
                     best_layout = list(layout)

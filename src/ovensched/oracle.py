@@ -34,6 +34,12 @@ from .model import CostBreakdown, Instance, Machine, ObjectiveWeights, Solution
 from .schedule import BatchSummary, batch_fault, build_schedule, evaluate, summarize
 
 
+# The search recurses once per job to build its first batching, before the
+# node budget can stop it, and once per block to order a machine; above
+# this many jobs it could run out of Python's recursion limit instead.
+MAX_JOBS_CEILING = 64
+
+
 @dataclass(frozen=True)
 class OracleLimits:
     max_jobs: int = 9
@@ -42,6 +48,8 @@ class OracleLimits:
     def __post_init__(self) -> None:
         if min(self.max_jobs, self.node_budget) <= 0:
             raise ValueError("all oracle limits must be positive")
+        if self.max_jobs > MAX_JOBS_CEILING:
+            raise ValueError(f"max_jobs must be at most {MAX_JOBS_CEILING}")
 
 
 class BudgetExceeded(Exception):

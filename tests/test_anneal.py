@@ -66,7 +66,8 @@ def apply_move(instance, layout, move):
     A job move into a batch is rejected on mixed attributes, an ineligible
     machine, capacity or incompatible processing times, and a job move into
     a new batch on capacity; everything else is left to scheduling. Rows
-    the move leaves alone are shared with the input layout.
+    the move leaves alone are shared with the input layout. A job move's
+    source must be where a scan of the layout finds the job.
     """
     new = list(layout)
 
@@ -86,6 +87,7 @@ def apply_move(instance, layout, move):
     job = instance.job(move.job)
     machine = instance.machines[move.machine]
     m0, b0 = _locate(layout, move.job)
+    assert (move.from_machine, move.from_batch) == (m0, b0)
     if isinstance(move, MoveJob):
         if (m0, b0) == (move.machine, move.batch):
             return None
@@ -169,7 +171,7 @@ def test_moves_preserve_partition(example):
         if outcome is None:
             continue
         applied += 1
-        search.accept(move, *outcome)
+        search.accept(*outcome)
         assert search.layout == new_layout
         assert partition_ids(search.layout) == expected
     assert applied > 100
@@ -177,25 +179,25 @@ def test_moves_preserve_partition(example):
 
 def test_move_job_new_batch_keeps_partition(example):
     search = _Search(example, layout_of(example))
-    new_layout = edited_layout(search, MoveJobNewBatch(job=5, machine=1, position=0))
+    new_layout = edited_layout(search, MoveJobNewBatch(5, 1, 0, *_locate(search.layout, 5)))
     assert partition_ids(new_layout) == partition_ids(search.layout)
     assert new_layout[1][0] == [5]
 
 
 def test_move_job_cheap_rejections(example):
     search = _Search(example, [[[1]], [[3], [9]]])  # a partial layout is fine
-    assert search.locate(9) == (1, 1)
+    # moves name their job's source: job 1 at (0, 0), 3 at (1, 0), 9 at (1, 1)
     for move in (
-        MoveJob(job=1, machine=1, batch=1),  # attribute 2 into attribute 1
-        MoveJob(job=9, machine=0, batch=0),  # job 9 not eligible on machine 1
-        MoveJob(job=1, machine=1, batch=0),  # sizes 18 + 17 > capacity 20
-        MoveJob(job=9, machine=1, batch=1),  # into its own batch
+        MoveJob(1, 1, 1, 0, 0),  # attribute 2 into attribute 1
+        MoveJob(9, 0, 0, 1, 1),  # job 9 not eligible on machine 1
+        MoveJob(1, 1, 0, 0, 0),  # sizes 18 + 17 > capacity 20
+        MoveJob(9, 1, 1, 1, 1),  # into its own batch
     ):
         assert edited_layout(search, move) is None
         assert apply_move(example, search.layout, move) is None
     # new batches: job 3 is not eligible on machine 1; scheduling rejects
     # what the reference lets through
-    move = MoveJobNewBatch(job=3, machine=0, position=0)
+    move = MoveJobNewBatch(3, 0, 0, 1, 0)
     assert edited_layout(search, move) is None
     assert search.evaluate(move) is None
     assert apply_move(example, search.layout, move) == [[[3], [1]], [[9]]]
@@ -204,7 +206,7 @@ def test_move_job_cheap_rejections(example):
     machines = (example.machines[0], replace(example.machines[1], capacity=17))
     small = replace(example, machines=machines)
     search = _Search(small, [[[1]], [[3], [9]]])
-    move = MoveJobNewBatch(job=1, machine=1, position=0)
+    move = MoveJobNewBatch(1, 1, 0, 0, 0)
     assert edited_layout(search, move) is None
     assert apply_move(small, search.layout, move) is None
 
@@ -220,10 +222,10 @@ def test_move_job_passes_cheap_checks_and_reschedules(example):
         for b, batch in enumerate(row)
         if batch == [8]
     )
-    move = MoveJob(job=5, machine=target[0], batch=target[1])
+    move = MoveJob(5, *target, *_locate(search.layout, 5))
     outcome = search.evaluate(move)
     assert outcome is not None
-    search.accept(move, *outcome)
+    search.accept(*outcome)
     assert sorted(search.layout[target[0]][-1]) == [5, 8]
     build_schedule(example, search.layout)  # must not raise
 
@@ -249,11 +251,19 @@ def test_sample_move_rejects_empty_ranges(example):
 def test_move_kinds_are_distinct_keys():
     # the warm-up keys deltas on moves: moves of two kinds with equal fields
     # must differ (NamedTuples would compare equal), equal moves must not
-    assert MoveJob(1, 2, 3) != MoveJobNewBatch(1, 2, 3)
-    keys = {SwapBatches(1, 2): 0, ReinsertBatch(1, 2, 3): 1, MoveJob(1, 2, 3): 2}
-    keys[MoveJobNewBatch(1, 2, 3)] = 3
+    assert MoveJob(1, 2, 3, 0, 0) != MoveJobNewBatch(1, 2, 3, 0, 0)
+    keys = {SwapBatches(1, 2): 0, ReinsertBatch(1, 2, 3): 1, MoveJob(1, 2, 3, 0, 0): 2}
+    keys[MoveJobNewBatch(1, 2, 3, 0, 0)] = 3
     assert len(keys) == 4
-    assert keys[MoveJob(1, 2, 3)] == 2
+    assert keys[MoveJob(1, 2, 3, 0, 0)] == 2
+    # job moves that differ only in their source are different keys, and
+    # moves with equal fields are equal keys
+    for kind in (MoveJob, MoveJobNewBatch):
+        keys[kind(1, 2, 3, 0, 1)] = kind
+        assert kind(1, 2, 3, 0, 1) != kind(1, 2, 3, 0, 0) != kind(1, 2, 3, 1, 0)
+        assert keys[kind(1, 2, 3, 0, 1)] is kind
+        assert kind(1, 2, 3, 1, 0) not in keys
+    assert len(keys) == 6
 
 
 def test_run_on_jobless_instance_stops_with_no_moves():
@@ -321,12 +331,14 @@ def test_anneal_random_instances_feasible_and_sound():
 
 
 def _any_move(instance, layout, rng):
-    """A job move with arbitrary arguments, ineligible machines included."""
+    """A job move with arbitrary arguments, ineligible machines included,
+    from the job's batch."""
     job = rng.randrange(instance.n_jobs) + 1
     machine = rng.randrange(instance.n_machines)
+    source = _locate(layout, job)
     if layout[machine] and rng.random() < 0.5:
-        return MoveJob(job, machine, rng.randrange(len(layout[machine])))
-    return MoveJobNewBatch(job, machine, rng.randrange(len(layout[machine]) + 2))
+        return MoveJob(job, machine, rng.randrange(len(layout[machine])), *source)
+    return MoveJobNewBatch(job, machine, rng.randrange(len(layout[machine]) + 2), *source)
 
 
 def _spread_config(n_jobs, seed, n_machines):
@@ -485,7 +497,7 @@ def _walk(instance, walk_seed, moves, events):
                         events[fault] += 1
             assert not slides
         if rng.random() < 0.5:
-            search.accept(move, edits, totals)
+            search.accept(edits, totals)
             full = evaluate(instance, build_schedule(instance, search.layout), weights, check=True)
             assert totals == (full.proc_time, full.tardy, full.setup_cost)
             fresh = _Search(instance, search.layout)
@@ -627,11 +639,11 @@ def _reference_draw(instance, layout, rng):
         slot = randbelow(total_batches - 1)
         if slot >= sum(map(len, layout[:m0])) + b0:
             slot += 1
-        return MoveJob(job_id, *_batch_at(layout, slot))
+        return MoveJob(job_id, *_batch_at(layout, slot), m0, b0)
     index = {machine.id: m for m, machine in enumerate(instance.machines)}
     eligible = [index[i] for i in sorted(instance.job(job_id).eligible)]
     machine = eligible[randbelow(len(eligible))]
-    return MoveJobNewBatch(job_id, machine, randbelow(len(layout[machine]) + 1))
+    return MoveJobNewBatch(job_id, machine, randbelow(len(layout[machine]) + 1), m0, b0)
 
 
 def _roomy_instance(n_machines, eligible, seed):
@@ -661,7 +673,8 @@ def _roomy_instance(n_machines, eligible, seed):
 def test_sample_move_matches_the_reference_draw(sizes, seed):
     """sample_move on the kept MoveSpace draws the move, and leaves the
     random state, that the reference draw does from the same state, on
-    random layouts and after accepted moves."""
+    random layouts and after accepted moves; a job move's source is where
+    the reference's scan found the job."""
     layout = _layout_of_sizes(sizes, seed)
     coin = random.Random(seed)
     eligible = [set() for _ in range(sum(map(sum, sizes)))]
@@ -678,7 +691,7 @@ def test_sample_move_matches_the_reference_draw(sizes, seed):
         assert twin.getstate() == rng.getstate()
         outcome = search.evaluate(move)
         if outcome is not None and coin.random() < 0.5:
-            search.accept(move, *outcome)
+            search.accept(*outcome)
 
 
 def test_kind_thresholds_follow_crossings():
@@ -690,12 +703,12 @@ def test_kind_thresholds_follow_crossings():
     steps = [
         # merges the last two batches: a single batch is left, and only a
         # move into a new batch has arguments
-        (MoveJob(job=2, machine=0, batch=0), [[[1, 2]], []], {MoveJobNewBatch}),
+        (MoveJob(2, 0, 0, 0, 1), [[[1, 2]], []], {MoveJobNewBatch}),
         # two batches, each alone in its row: job moves only
-        (MoveJobNewBatch(job=1, machine=1, position=0), [[[2]], [[1]]], {MoveJob, MoveJobNewBatch}),
+        (MoveJobNewBatch(1, 1, 0, 0, 0), [[[2]], [[1]]], {MoveJob, MoveJobNewBatch}),
         # row 1 crosses two batches and row 0 empties: every kind
         (
-            MoveJobNewBatch(job=2, machine=1, position=1),
+            MoveJobNewBatch(2, 1, 1, 0, 0),
             [[], [[1], [2]]],
             {SwapBatches, ReinsertBatch, MoveJob, MoveJobNewBatch},
         ),
@@ -703,7 +716,7 @@ def test_kind_thresholds_follow_crossings():
     for move, layout, kinds in steps:
         outcome = search.evaluate(move)
         assert outcome is not None
-        search.accept(move, *outcome)
+        search.accept(*outcome)
         assert search.layout == layout
         assert vars(search.space) == vars(MoveSpace(instance, layout))
         drawn = {type(sample_move(search.layout, rng, search.space)) for _ in range(300)}
@@ -719,27 +732,8 @@ def _accepted_walk(instance, rng, moves):
         move = sample_move(search.layout, rng, search.space)
         outcome = search.evaluate(move)
         if outcome is not None:
-            search.accept(move, *outcome)
+            search.accept(*outcome)
             yield search
-
-
-@settings(max_examples=examples(60), deadline=None)
-@given(
-    st.sampled_from(sorted(SHAPES)),
-    st.integers(1, 16),
-    st.integers(1, 3),
-    st.integers(0, 10**6),
-    st.integers(0, 10**6),
-)
-def test_locate_matches_a_scan_after_accepted_moves(
-    shape, n_jobs, n_machines, instance_seed, walk_seed
-):
-    instance = generate_instance(SHAPES[shape](n_jobs, instance_seed, n_machines=n_machines))
-    for search in _accepted_walk(instance, random.Random(walk_seed), 40):
-        for job in instance.jobs:
-            m, b = search.locate(job.id)
-            assert (m, b) == _locate(search.layout, job.id)
-            assert search.where[job.id][1] is search.layout[m][b]
 
 
 # small jobs, so that batches hold several and job moves often pass
@@ -782,7 +776,7 @@ def test_job_move_checked_on_the_kept_summary(shape, n_jobs, n_machines, instanc
         merged = sorted([*host, job_id])
         summary = summarize(instance, merged)
         fault = batch_fault(instance, instance.machines[target], merged, summary)
-        edits = search.edit_rows(MoveJob(job_id, target, b))
+        edits = search.edit_rows(MoveJob(job_id, target, b, *_locate(search.layout, job_id)))
         assert (edits is None) == (job_id in host or fault is not None)
         if edits is not None:
             edit = edits[target]
@@ -980,7 +974,7 @@ def _rigid_row():
         (ReinsertBatch(0, 4, 0), [[5], [1], [2], [3], [4]], (1, 5, 1)),
         (ReinsertBatch(0, 0, 4), [[2], [3], [4], [5], [1]], (0, 4, -1)),
         # job 2's batch empties; the new batch goes in after job 4's
-        (MoveJobNewBatch(2, 0, 3), [[1], [3], [4], [2], [5]], (1, 3, -1)),
+        (MoveJobNewBatch(2, 0, 3, 0, 1), [[1], [3], [4], [2], [5]], (1, 3, -1)),
     ],
     ids=["last-to-front", "first-to-end", "new-batch-source-empties"],
 )
@@ -997,7 +991,7 @@ def test_interior_run_slides_on_rigid_row(move, row, run):
     materialized = _materialize(instance, machine, edit)
     assert [state[1] for state in materialized.states[1:]] == [b.end for b in batches]
     assert materialized.cost == edit.cost == totals == machine_cost(instance, machine, batches)
-    search.accept(move, edits, totals)
+    search.accept(edits, totals)
     assert search.rows == _Search(instance, search.layout).rows
 
 

@@ -359,6 +359,7 @@ def test_out_of_range_limits_exit_1_with_the_dataclass_message(capsys):
     for argv, message in (
         (["oracle", EXAMPLE, "--node-budget", "0"], "all oracle limits must be positive"),
         (["oracle", EXAMPLE, "--max-jobs", "-2"], "all oracle limits must be positive"),
+        (["oracle", EXAMPLE, "--max-jobs", "5000"], "max_jobs must be at most 64"),
         (["anneal", EXAMPLE, "--workers", "1", "--time-limit", "-1"],
          "time_limit must be non-negative"),
     ):

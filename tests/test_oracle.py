@@ -20,6 +20,7 @@ from ovensched import (
     objective_lb,
 )
 from ovensched.oracle import (
+    MAX_JOBS_CEILING,
     BudgetExceeded,
     Infeasible,
     OracleLimits,
@@ -209,6 +210,18 @@ def test_oracle_respects_limits(example):
         exact_solve(example)  # 10 jobs > default max_jobs 9
     with pytest.raises(BudgetExceeded):
         exact_solve(example, limits=OracleLimits(max_jobs=10, node_budget=50))
+
+
+def test_max_jobs_above_the_ceiling_is_rejected():
+    # the search recurses once per job before the node budget can stop it,
+    # so the ceiling keeps it inside Python's recursion limit
+    with pytest.raises(ValueError, match="max_jobs must be at most 64"):
+        OracleLimits(max_jobs=65)
+    config = GeneratorConfig(
+        n_jobs=MAX_JOBS_CEILING, n_attributes=1, size_range=(1, 1), capacity_range=(100, 100)
+    )
+    with pytest.raises(BudgetExceeded, match="node budget 100"):
+        exact_solve(generate_instance(config), limits=OracleLimits(MAX_JOBS_CEILING, 100))
 
 
 def test_node_budget_bounds_the_batching_enumeration():
