@@ -20,12 +20,12 @@ _MODULE_EXPORTS = {
     "bounds": ("AttributeBoundDetail", "BoundReport", "NoFeasiblePlacement",
                "attribute_bounds", "classify_large_small", "eligibility_lb", "gac_plus",
                "objective_lb", "setup_cost_lb", "tardy_lb"),
-    "fileio": ("GeneratorConfig", "ParseError", "ResultRow", "ValidationError",
-               "generate_instance", "parse_instance", "parse_solution", "write_instance",
-               "write_results", "write_solution"),
+    "experiment": ("GeneratorConfig", "ResultRow", "generate_instance", "write_results"),
+    "fileio": ("ParseError", "ValidationError", "parse_instance", "parse_solution",
+               "write_instance", "write_solution"),
     "greedy": ("Unschedulable", "construct"),
-    "model": ("Batch", "CostBreakdown", "Instance", "Job", "Machine", "ObjectiveWeights",
-              "Solution", "Violation", "validate_instance"),
+    "model": ("Batch", "CostBreakdown", "InputError", "Instance", "Job", "Machine",
+              "ObjectiveWeights", "Solution", "Violation", "validate_instance"),
     "oracle": ("BudgetExceeded", "Infeasible", "OracleLimits", "OracleResult", "exact_solve"),
     "schedule": ("InfeasibleBatch", "InfeasibleSolution", "build_schedule",
                  "check_feasibility", "evaluate", "relative_gap"),

@@ -3,7 +3,8 @@
 Four neighborhood moves (swap consecutive batches, reinsert a batch, move a
 job into an existing batch, move a job into a new batch), geometric cooling,
 Metropolis acceptance on the normalized objective, and stopping on final
-temperature, wall-clock limit, or a relative gap to a supplied lower bound.
+temperature, wall-clock limit, a relative gap to a supplied lower bound, or
+a move budget.
 The move mix (MOVE_PROBS) and the start temperature's target acceptance
 ratio (ACCEPTED_RATIO) are tuned constants. Starts from the greedy
 construction; a job-less instance has no move and stops there. Moves are
@@ -104,7 +105,8 @@ class AnnealParams:
     """Cooling schedule and stopping rules.
 
     The numeric defaults are tuned values. moves_per_level=0 means 50 times
-    the job count.
+    the job count. max_moves caps the moves a run draws, warm-up included;
+    None draws until another rule stops the run.
     """
 
     final_temp: float = 0.004
@@ -114,6 +116,7 @@ class AnnealParams:
     rng_seed: int = 1
     moves_per_level: int = 0
     warmup_moves: int = 1000
+    max_moves: int | None = None
 
     def __post_init__(self) -> None:
         # NaN fails every comparison, so without the finiteness checks it
@@ -133,6 +136,8 @@ class AnnealParams:
             raise ValueError("moves_per_level and warmup_moves must be non-negative")
         if self.lb_gap_stop is not None and self.lb_gap_stop < 0:
             raise ValueError("lb_gap_stop must be non-negative")
+        if self.max_moves is not None and self.max_moves < 1:
+            raise ValueError("max_moves must be positive")
 
 
 @dataclass(frozen=True)
@@ -152,7 +157,7 @@ class AnnealResult:
     solution: Solution
     cost: CostBreakdown
     trace: tuple[TracePoint, ...]
-    stop_reason: str  # "final_temp", "time", "gap" or "no_moves"
+    stop_reason: str  # "final_temp", "time", "gap", "max_moves" or "no_moves"
 
 
 # Moves are value objects, equal and hashed by kind and fields: the warm-up
@@ -685,8 +690,11 @@ def run_annealing(
     move drawn again reuses the |delta| of its first draw instead of being
     evaluated again. When `lb` and params.lb_gap_stop are given, the search
     stops as soon as the best objective is within that percentage gap of
-    lb.objective_lb. A job-less instance has no move: it returns the greedy
-    solution before the search starts ("no_moves").
+    lb.objective_lb. With params.max_moves, the warm-up draws at most that
+    many moves and each level at most what is left; a run whose warm-up or
+    level the budget cut short stops there ("max_moves"). A job-less
+    instance has no move: it returns the greedy solution before the search
+    starts ("no_moves").
     """
     rng = random.Random(params.rng_seed)
     started = time.perf_counter()
@@ -734,10 +742,16 @@ def run_annealing(
     objective, n_jobs = ObjectiveWeights.for_instance(instance).objective, instance.n_jobs
     clock, uniform, exp = time.perf_counter, rng.random, math.exp
 
+    # the moves the budget has left, taken per stretch (the warm-up, each
+    # level) so that no move tests it
+    left = math.inf if params.max_moves is None else params.max_moves
+
     # warm-up: average |delta| of random moves around the start solution;
     # seen maps each move drawn so far to its |delta|, None when infeasible
     deltas, seen, unseen = [], {}, object()
-    for _ in range(params.warmup_moves):
+    warmup_moves = min(params.warmup_moves, left)
+    left -= warmup_moves
+    for _ in range(warmup_moves):
         if clock() - started >= time_limit:
             return finish("time")
         move = sample_move(layout, rng, space)
@@ -748,6 +762,8 @@ def run_annealing(
             seen[move] = delta
         if delta is not None:
             deltas.append(delta)
+    if warmup_moves < params.warmup_moves:
+        return finish("max_moves")
     mean_delta = sum(deltas) / len(deltas) if deltas else 0.0
     if mean_delta > 0:
         temperature = -mean_delta / math.log(ACCEPTED_RATIO)
@@ -757,7 +773,9 @@ def run_annealing(
     moves_per_level = params.moves_per_level or 50 * instance.n_jobs
 
     while temperature > params.final_temp:
-        for _ in range(moves_per_level):
+        level_moves = min(moves_per_level, left)
+        left -= level_moves
+        for _ in range(level_moves):
             now = clock() - started
             if now >= time_limit:
                 return finish("time")
@@ -777,6 +795,8 @@ def run_annealing(
                     trace.append(TracePoint(now, best_cost))
                     if gap_reached(best_cost):
                         return finish("gap")
+        if level_moves < moves_per_level:
+            return finish("max_moves")
         temperature *= params.cooling_rate
 
     return finish("final_temp")

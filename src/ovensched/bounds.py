@@ -20,10 +20,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .model import Instance, Job, Machine, ObjectiveWeights
+from .model import InputError, Instance, Job, Machine, ObjectiveWeights
 
 
-class NoFeasiblePlacement(Exception):
+class NoFeasiblePlacement(InputError):
     """A job fits in no availability window of any eligible machine."""
 
     def __init__(self, job_id: int):

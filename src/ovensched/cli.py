@@ -6,9 +6,13 @@ Exit codes: 0 success, 1 usage error, 2 instance/solution infeasibility,
 across repeated runs of deterministic commands.
 
 Start-up is most of a bounds, greedy or evaluate command, so each command
-loads only what it runs: the annealer is imported by anneal and bench, the
-oracle by the oracle command. Their parameter flags default to "not given",
-so the defaults live only in AnnealParams and OracleLimits.
+imports only the modules it runs, beyond the model and the text formats
+that every command reads: bounds loads the bounds module, greedy the
+construction and the scheduler, evaluate the scheduler. The annealer is
+imported by anneal and bench, the oracle by the oracle command, and the
+generator and the results table (ovensched.experiment) by generate, bench
+and --results. The annealer's and the oracle's parameter flags default to
+"not given", so the defaults live only in AnnealParams and OracleLimits.
 """
 
 from __future__ import annotations
@@ -21,26 +25,12 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Sequence
 
-# only for the annotations: the package resolves anneal's names on first use,
-# so naming them through it does not load the annealer
+# only for the annotations: the package resolves its names on first use, so
+# naming them through it loads no module
 import ovensched
 
-from .bounds import BoundReport, NoFeasiblePlacement, objective_lb
-from .fileio import (
-    GeneratorConfig,
-    ParseError,
-    ResultRow,
-    ValidationError,
-    generate_instance,
-    parse_instance,
-    parse_solution,
-    write_instance,
-    write_results,
-    write_solution,
-)
-from .greedy import Unschedulable, construct
-from .model import CostBreakdown, Instance, ObjectiveWeights
-from .schedule import InfeasibleBatch, check_feasibility, evaluate, relative_gap
+from .fileio import ParseError, parse_instance, parse_solution, write_instance, write_solution
+from .model import CostBreakdown, InputError, Instance, ObjectiveWeights
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -93,7 +83,7 @@ def _cost_text(cost: CostBreakdown) -> str:
     )
 
 
-def _print_bound_report(path: str, instance: Instance, report: BoundReport) -> None:
+def _print_bound_report(path: str, instance: Instance, report: ovensched.BoundReport) -> None:
     print(f"instance {path}")
     print(
         f"jobs {instance.n_jobs} machines {instance.n_machines} "
@@ -112,7 +102,9 @@ def _print_bound_report(path: str, instance: Instance, report: BoundReport) -> N
     print(f"objective_lb {report.objective_lb:.6f}")
 
 
-def _bounds_row(instance: str, report: BoundReport) -> ResultRow:
+def _bounds_row(instance: str, report: ovensched.BoundReport) -> ovensched.ResultRow:
+    from .experiment import ResultRow
+
     return ResultRow(
         instance=instance,
         method="bounds",
@@ -131,10 +123,13 @@ def _solution_row(
     instance: str,
     method: str,
     cost: CostBreakdown,
-    report: BoundReport,
+    report: ovensched.BoundReport,
     seed: int | None,
     elapsed: float,
-) -> ResultRow:
+) -> ovensched.ResultRow:
+    from .experiment import ResultRow
+    from .schedule import relative_gap
+
     return ResultRow(
         instance=instance,
         method=method,
@@ -150,8 +145,8 @@ def _solution_row(
 
 
 def _anneal_rows(
-    instance: str, outcomes: list[tuple[int, ovensched.AnnealResult]], report: BoundReport
-) -> list[ResultRow]:
+    instance: str, outcomes: list[tuple[int, ovensched.AnnealResult]], report: ovensched.BoundReport
+) -> list[ovensched.ResultRow]:
     return [
         _solution_row(
             instance, "anneal", result.cost, report, seed, result.trace[-1].elapsed
@@ -160,11 +155,15 @@ def _anneal_rows(
     ]
 
 
-def _write_results_file(path: str, rows: list[ResultRow]) -> None:
+def _write_results_file(path: str, rows: list[ovensched.ResultRow]) -> None:
+    from .experiment import write_results
+
     Path(path).write_text(write_results(rows), encoding="utf-8")
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    from .bounds import objective_lb
+
     instance = _load_instance(args.instance)
     report = objective_lb(instance, include_min_setup=not args.no_min_setup)
     _print_bound_report(args.instance, instance, report)
@@ -175,6 +174,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_greedy(args: argparse.Namespace) -> int:
+    from .greedy import construct
+
     instance = _load_instance(args.instance)
     started = time.perf_counter()
     solution, cost = construct(instance)
@@ -186,13 +187,15 @@ def _cmd_greedy(args: argparse.Namespace) -> int:
     if args.solution:
         Path(args.solution).write_text(write_solution(solution), encoding="utf-8")
     if args.results:
+        from .bounds import objective_lb
+
         row = _solution_row(args.instance, "greedy", cost, objective_lb(instance), None, elapsed)
         _write_results_file(args.results, [row])
     return EXIT_OK
 
 
 def _anneal_task(
-    payload: tuple[Instance, ovensched.AnnealParams, BoundReport | None],
+    payload: tuple[Instance, ovensched.AnnealParams, ovensched.BoundReport | None],
 ) -> ovensched.AnnealResult:
     from .anneal import run_annealing
 
@@ -221,10 +224,14 @@ def _anneal_params(args: argparse.Namespace) -> ovensched.AnnealParams:
         time_limit=args.time_limit,
         lb_gap_stop=args.lb_gap_stop,
         moves_per_level=args.moves_per_level,
+        max_moves=args.max_moves,
     ))
 
 
 def _cmd_anneal(args: argparse.Namespace) -> int:
+    from .bounds import objective_lb
+    from .schedule import relative_gap
+
     _check_counts(args)
     instance = _load_instance(args.instance)
     lb = objective_lb(instance)
@@ -263,16 +270,13 @@ def _cmd_anneal(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    from .oracle import BudgetExceeded, Infeasible, OracleLimits, exact_solve
+    from .oracle import BudgetExceeded, OracleLimits, exact_solve
 
     instance = _load_instance(args.instance)
     limits = OracleLimits(**_given(max_jobs=args.max_jobs, node_budget=args.node_budget))
     started = time.perf_counter()
     try:
         result = exact_solve(instance, limits=limits, prune_with_lb=not args.no_prune)
-    except Infeasible as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except BudgetExceeded as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -286,6 +290,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from .schedule import check_feasibility, evaluate
+
     instance = _load_instance(args.instance)
     solution = parse_solution(_read_document(args.solution), instance)
     violations = check_feasibility(instance, solution)
@@ -301,6 +307,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .experiment import GeneratorConfig, generate_instance
+
     given = _given(n_jobs=args.n, n_machines=args.k, n_attributes=args.a, seed=args.seed)
     if args.config:
         base = GeneratorConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
@@ -321,6 +329,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .bounds import objective_lb
+    from .experiment import write_results
+    from .greedy import construct
+
     _check_counts(args)
     directory = Path(args.directory)
     if not directory.is_dir():
@@ -366,6 +378,8 @@ def _add_anneal_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--replicates", type=int, default=10)
     p.add_argument("--moves-per-level", type=int,
                    help="moves per temperature level (0 = 50 per job)")
+    p.add_argument("--max-moves", type=int,
+                   help="stop a run after drawing this many moves, warm-up included")
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                    help="worker processes, at most one per task (default: CPU count)")
 
@@ -446,8 +460,7 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     except (_UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, ValidationError, InfeasibleBatch, Unschedulable,
-            NoFeasiblePlacement) as exc:
+    except InputError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

@@ -46,11 +46,20 @@ from bisect import insort
 from heapq import heappop, heappush
 from typing import Iterator
 
-from .model import Batch, CostBreakdown, Instance, Job, Machine, ObjectiveWeights, Solution
+from .model import (
+    Batch,
+    CostBreakdown,
+    InputError,
+    Instance,
+    Job,
+    Machine,
+    ObjectiveWeights,
+    Solution,
+)
 from .schedule import evaluate
 
 
-class Unschedulable(Exception):
+class Unschedulable(InputError):
     """A job could not be placed before all availability windows ran out."""
 
     def __init__(self, job_id: int):

@@ -17,6 +17,14 @@ from functools import cached_property
 from typing import Iterable
 
 
+class InputError(Exception):
+    """An instance or solution that cannot be read or cannot be scheduled.
+
+    The base of every error the CLI reports with exit code 2; it lives here
+    because every command loads this module.
+    """
+
+
 @dataclass(frozen=True)
 class Machine:
     """An oven: capacity in size units, initial attribute, availability windows.

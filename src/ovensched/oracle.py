@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 from .bounds import NoFeasiblePlacement, late_floor, setup_cost_lb, tardy_lb
-from .model import CostBreakdown, Instance, Machine, ObjectiveWeights, Solution
+from .model import CostBreakdown, InputError, Instance, Machine, ObjectiveWeights, Solution
 from .schedule import BatchSummary, batch_fault, build_schedule, evaluate, summarize
 
 
@@ -56,7 +56,7 @@ class BudgetExceeded(Exception):
     """The search ran out of its node budget (or a hard limit tripped)."""
 
 
-class Infeasible(Exception):
+class Infeasible(InputError):
     """No complete feasible schedule exists for the instance."""
 
 

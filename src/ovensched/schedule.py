@@ -33,6 +33,7 @@ from typing import Collection, NamedTuple, Sequence
 from .model import (
     Batch,
     CostBreakdown,
+    InputError,
     Instance,
     Machine,
     ObjectiveWeights,
@@ -44,7 +45,7 @@ from .model import (
 Layout = Sequence[Sequence[Collection[int]]]
 
 
-class InfeasibleBatch(Exception):
+class InfeasibleBatch(InputError):
     """A batch of a layout cannot be scheduled on its machine."""
 
     def __init__(self, machine_id: int, position: int, reason: str):

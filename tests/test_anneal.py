@@ -139,6 +139,8 @@ def edited_layout(search, move):
         dict(lb_gap_stop=math.nan),
         dict(lb_gap_stop=-5.0),
         dict(cooling_rate=math.nan),
+        dict(max_moves=0),
+        dict(max_moves=-7),
     ],
 )
 def test_params_that_switch_the_search_off_are_rejected(bad):
@@ -1017,3 +1019,37 @@ def test_warmup_evaluates_each_distinct_move_once(monkeypatch):
     assert result.stop_reason == "final_temp"
     assert len(drawn) == 1000
     assert evaluated == len(set(drawn)) < 1000
+
+
+def test_max_moves_caps_the_draws(monkeypatch, example):
+    drawn = 0
+    draw = anneal.sample_move
+
+    def counted_draw(*args):
+        nonlocal drawn
+        drawn += 1
+        return draw(*args)
+
+    monkeypatch.setattr(anneal, "sample_move", counted_draw)
+    params = replace(FAST, cooling_rate=0.9)
+
+    def run(**budget):
+        nonlocal drawn
+        drawn = 0
+        result = run_annealing(example, replace(params, **budget))
+        return result, drawn
+
+    free, natural = run()
+    assert free.stop_reason == "final_temp"
+    # inside the warm-up (100 moves), at its end, at a level's end (60
+    # moves each), inside a level, and one move short of the last level's end
+    for budget in (1, 37, 100, 160, 251, natural - 1):
+        assert budget < natural
+        result, moves = run(max_moves=budget)
+        assert (result.stop_reason, moves) == ("max_moves", budget)
+    for budget in (natural, natural + 1, 10 * natural):
+        result, moves = run(max_moves=budget)
+        assert moves == natural
+        assert result.stop_reason == free.stop_reason
+        assert result.cost == free.cost and result.solution == free.solution
+        assert [p.cost for p in result.trace] == [p.cost for p in free.trace]

@@ -355,6 +355,18 @@ def test_flag_defaults_are_the_dataclass_defaults(capsys, monkeypatch):
     assert given == [oracle.OracleLimits()]
 
 
+def test_max_moves_flag_caps_the_run(capsys):
+    from ovensched.cli import _anneal_params, _build_parser
+
+    parser = _build_parser()
+    for command in (["anneal", EXAMPLE], ["bench", str(FIXTURES)]):
+        assert _anneal_params(parser.parse_args([*command, "--max-moves", "300"])).max_moves == 300
+    code, out, _ = run(capsys, "anneal", EXAMPLE, "--replicates", "1", "--workers", "1",
+                       "--max-moves", "300")
+    assert code == 0
+    assert "\nreplicate seed 1 stop max_moves cost " in out
+
+
 def test_out_of_range_limits_exit_1_with_the_dataclass_message(capsys):
     for argv, message in (
         (["oracle", EXAMPLE, "--node-budget", "0"], "all oracle limits must be positive"),
@@ -362,6 +374,9 @@ def test_out_of_range_limits_exit_1_with_the_dataclass_message(capsys):
         (["oracle", EXAMPLE, "--max-jobs", "5000"], "max_jobs must be at most 64"),
         (["anneal", EXAMPLE, "--workers", "1", "--time-limit", "-1"],
          "time_limit must be non-negative"),
+        (["anneal", EXAMPLE, "--workers", "1", "--max-moves", "0"], "max_moves must be positive"),
+        (["bench", str(FIXTURES), "--workers", "1", "--max-moves", "-3"],
+         "max_moves must be positive"),
     ):
         assert run(capsys, *argv) == (1, "", f"error: {message}\n"), argv
 
@@ -394,6 +409,46 @@ def test_bad_instance_exits_2(capsys, tmp_path):
         code, _, err = run(capsys, "bounds", str(bad))
         assert code == 2
         assert "infeasible" in err
+
+
+def _input_errors():
+    from ovensched import (
+        InfeasibleBatch,
+        NoFeasiblePlacement,
+        ParseError,
+        Unschedulable,
+        ValidationError,
+        Violation,
+    )
+    from ovensched.oracle import Infeasible
+
+    return [
+        ParseError(3, "'jobs <count>'"),
+        ValidationError([Violation("machine 1", "windows", "none given")]),
+        InfeasibleBatch(1, 2, "over capacity"),
+        Unschedulable(4),
+        NoFeasiblePlacement(5),
+        Infeasible("no complete schedule"),
+    ]
+
+
+@pytest.mark.parametrize("error", _input_errors(), ids=lambda e: type(e).__name__)
+def test_input_errors_exit_2(capsys, monkeypatch, error):
+    from ovensched import InputError, cli, oracle
+
+    assert isinstance(error, InputError)
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "_load_instance", fail)
+    for argv in (["bounds", EXAMPLE], ["greedy", EXAMPLE], ["evaluate", EXAMPLE, EXAMPLE],
+                 ["oracle", EXAMPLE]):
+        assert run(capsys, *argv) == (2, "", f"infeasible: {error}\n"), argv
+    # the oracle command has no handler of its own
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "exact_solve", fail)
+    assert run(capsys, "oracle", EXAMPLE) == (2, "", f"infeasible: {error}\n")
 
 
 def test_non_utf8_input_exits_2(capsys, tmp_path):

@@ -64,6 +64,52 @@ def test_import_loads_only_what_is_used(tmp_path):
     assert loaded == []
 
 
+COMMAND_SCRIPT = """
+import sys
+before = set(sys.modules)  # what site loads differs between machines
+import ovensched.cli
+code = ovensched.cli.dispatch(sys.argv[1:]) if len(sys.argv) > 1 else 0
+new = set(sys.modules) - before
+import json
+print(json.dumps([code, sorted(m for m in new if m.startswith("ovensched.")),
+                  sorted(new & {"ovensched.experiment", "json", "csv"})]))
+"""
+
+
+def test_each_certificate_command_loads_only_its_modules(tmp_path):
+    base = ["ovensched.cli", "ovensched.fileio", "ovensched.model"]
+    solution = str(tmp_path / "g.sol")
+    for argv, modules in (
+        ([], []),
+        (["bounds", str(EXAMPLE_PATH)], ["bounds"]),
+        (["greedy", str(EXAMPLE_PATH), "--solution", solution], ["greedy", "schedule"]),
+        (["evaluate", str(EXAMPLE_PATH), solution], ["schedule"]),
+    ):
+        code, loaded, unwanted = _run_fresh(COMMAND_SCRIPT, *argv)
+        assert code == 0, argv
+        assert loaded == sorted(base + [f"ovensched.{m}" for m in modules]), argv
+        assert unwanted == [], argv
+
+
+def test_moved_names_resolve_through_fileio():
+    from ovensched import experiment, fileio
+    from ovensched.fileio import (
+        RESULT_COLUMNS,
+        GeneratorConfig,
+        ResultRow,
+        generate_instance,
+        write_results,
+    )
+
+    assert GeneratorConfig is experiment.GeneratorConfig
+    assert generate_instance is experiment.generate_instance
+    assert ResultRow is experiment.ResultRow
+    assert RESULT_COLUMNS is experiment.RESULT_COLUMNS
+    assert write_results is experiment.write_results
+    with pytest.raises(AttributeError, match="'ovensched.fileio' has no attribute 'no_such_name'"):
+        fileio.no_such_name
+
+
 def test_exported_names_are_their_module_objects():
     assert ovensched.__all__
     for name in ovensched.__all__:
