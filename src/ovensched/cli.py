@@ -13,6 +13,8 @@ imported by anneal and bench, the oracle by the oracle command, and the
 generator and the results table (ovensched.experiment) by generate, bench
 and --results. The annealer's and the oracle's parameter flags default to
 "not given", so the defaults live only in AnnealParams and OracleLimits.
+The model's types are slotted records, not dataclasses, so of the three
+certificate commands bounds alone loads dataclasses, through BoundReport.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -229,6 +230,8 @@ def _anneal_params(args: argparse.Namespace) -> ovensched.AnnealParams:
 
 
 def _cmd_anneal(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
     from .bounds import objective_lb
     from .schedule import relative_gap
 
@@ -307,6 +310,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
     from .experiment import GeneratorConfig, generate_instance
 
     given = _given(n_jobs=args.n, n_machines=args.k, n_attributes=args.a, seed=args.seed)
@@ -329,6 +334,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
     from .bounds import objective_lb
     from .experiment import write_results
     from .greedy import construct

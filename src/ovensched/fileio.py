@@ -113,10 +113,13 @@ def _int(token: str, signed: bool = True) -> int:
     Raises ValueError on anything else; int() alone would also accept '_'
     separators, a '+' sign and non-ASCII digits.
     """
-    digits = token[1:] if signed and token.startswith("-") else token
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not an integer: {token!r}")
-    return int(token)
+    if token.isdigit() and token.isascii():
+        return int(token)
+    if signed and token[:1] == "-":
+        digits = token[1:]
+        if digits.isdigit() and digits.isascii():
+            return int(token)
+    raise ValueError(f"not an integer: {token!r}")
 
 
 def _int_fields(tokens: list[str], keys: tuple[str, ...], line_no: int) -> list[int]:

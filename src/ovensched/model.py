@@ -12,7 +12,6 @@ All ids (machines, jobs, attributes) are 1-based.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -25,23 +24,69 @@ class InputError(Exception):
     """
 
 
-@dataclass(frozen=True)
-class Machine:
+_set = object.__setattr__
+
+
+class _Record:
+    """A frozen value: equal and hashed by its type and field values.
+
+    A subclass names its fields in _fields, holds them in __slots__ and sets
+    them once in __init__ through object.__setattr__; assigning or deleting
+    an attribute afterwards raises AttributeError. The repr is a dataclass's,
+    and pickling rebuilds a record through its __init__. These are plain
+    classes, not dataclasses, because importing dataclasses and generating
+    their methods was a sizeable share of a short command's start-up.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Machine(_Record):
     """An oven: capacity in size units, initial attribute, availability windows.
 
     Availability windows are closed integer intervals [start, end]; a batch's
     setup plus processing span must fit entirely inside one window.
     """
 
+    __slots__ = _fields = ("id", "capacity", "initial_attribute", "availability")
     id: int
     capacity: int
     initial_attribute: int
     availability: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "availability", tuple((int(s), int(e)) for s, e in self.availability)
-        )
+    def __init__(
+        self, id: int, capacity: int, initial_attribute: int,
+        availability: Iterable[tuple[int, int]],
+    ) -> None:
+        _set(self, "id", id)
+        _set(self, "capacity", capacity)
+        _set(self, "initial_attribute", initial_attribute)
+        _set(self, "availability", tuple((int(s), int(e)) for s, e in availability))
 
     def earliest_start(self, lower: int, setup: int, proc: int) -> int | None:
         """Earliest start >= lower of a batch with the given setup and processing time.
@@ -59,8 +104,10 @@ class Machine:
         return None
 
 
-@dataclass(frozen=True)
-class Job:
+class Job(_Record):
+    __slots__ = _fields = (
+        "id", "attribute", "size", "release", "due", "min_time", "max_time", "eligible"
+    )
     id: int
     attribute: int
     size: int
@@ -70,25 +117,41 @@ class Job:
     max_time: int
     eligible: frozenset[int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "eligible", frozenset(int(m) for m in self.eligible))
+    def __init__(
+        self, id: int, attribute: int, size: int, release: int, due: int,
+        min_time: int, max_time: int, eligible: Iterable[int],
+    ) -> None:
+        _set(self, "id", id)
+        _set(self, "attribute", attribute)
+        _set(self, "size", size)
+        _set(self, "release", release)
+        _set(self, "due", due)
+        _set(self, "min_time", min_time)
+        _set(self, "max_time", max_time)
+        _set(self, "eligible", frozenset(int(m) for m in eligible))
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Record):
     """Immutable problem input; safe to share across concurrent readers."""
 
+    _fields = ("machines", "jobs", "attribute_count", "setup_times", "setup_costs")
+    # __dict__ holds the cached properties
+    __slots__ = (*_fields, "__dict__")
     machines: tuple[Machine, ...]
     jobs: tuple[Job, ...]
     attribute_count: int
     setup_times: tuple[tuple[int, ...], ...]
     setup_costs: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "machines", tuple(self.machines))
-        object.__setattr__(self, "jobs", tuple(self.jobs))
-        object.__setattr__(self, "setup_times", tuple(tuple(row) for row in self.setup_times))
-        object.__setattr__(self, "setup_costs", tuple(tuple(row) for row in self.setup_costs))
+    def __init__(
+        self, machines: Iterable[Machine], jobs: Iterable[Job], attribute_count: int,
+        setup_times: Iterable[Iterable[int]], setup_costs: Iterable[Iterable[int]],
+    ) -> None:
+        _set(self, "machines", tuple(machines))
+        _set(self, "jobs", tuple(jobs))
+        _set(self, "attribute_count", attribute_count)
+        _set(self, "setup_times", tuple(tuple(row) for row in setup_times))
+        _set(self, "setup_costs", tuple(tuple(row) for row in setup_costs))
 
     @property
     def n_jobs(self) -> int:
@@ -129,35 +192,42 @@ class Instance:
     def setup_cost(self, prev_attribute: int, next_attribute: int) -> int:
         return self.setup_costs[prev_attribute - 1][next_attribute - 1]
 
+    @cached_property
+    def _min_setup_times_into(self) -> tuple[int, ...]:
+        """Per attribute, the smallest entry of its setup-time column."""
+        return tuple(min(column) for column in zip(*self.setup_times))
+
     def min_setup_time_into(self, attribute: int) -> int:
         """Smallest setup time that can precede a batch of the given attribute."""
-        return min(self.setup_times[q][attribute - 1] for q in range(self.attribute_count))
+        return self._min_setup_times_into[attribute - 1]
 
 
-@dataclass(frozen=True)
-class Batch:
+class Batch(_Record):
     """Jobs processed together: shared start time and processing time."""
 
+    __slots__ = _fields = ("jobs", "start", "processing_time")
     jobs: frozenset[int]
     start: int
     processing_time: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "jobs", frozenset(int(j) for j in self.jobs))
+    def __init__(self, jobs: Iterable[int], start: int, processing_time: int) -> None:
+        _set(self, "jobs", frozenset(int(j) for j in jobs))
+        _set(self, "start", start)
+        _set(self, "processing_time", processing_time)
 
     @property
     def end(self) -> int:
         return self.start + self.processing_time
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(_Record):
     """Per-machine ordered batch lists, aligned with Instance.machines."""
 
+    __slots__ = _fields = ("batches",)
     batches: tuple[tuple[Batch, ...], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "batches", tuple(tuple(bs) for bs in self.batches))
+    def __init__(self, batches: Iterable[Iterable[Batch]]) -> None:
+        _set(self, "batches", tuple(tuple(bs) for bs in batches))
 
     @property
     def batch_count(self) -> int:
@@ -168,8 +238,7 @@ class Solution:
         return [[sorted(b.jobs) for b in machine_batches] for machine_batches in self.batches]
 
 
-@dataclass(frozen=True)
-class ObjectiveWeights:
+class ObjectiveWeights(_Record):
     """The fixed weights and the per-instance normalizers of the objective.
 
     objective = (w_proc*p/proc_norm + w_setup*sc/setup_norm + w_tardy*t)
@@ -184,12 +253,15 @@ class ObjectiveWeights:
     w_setup = 1
     weight_sum = w_proc + w_tardy + w_setup
 
-    proc_norm: int = 1
-    setup_norm: int = 1
+    __slots__ = _fields = ("proc_norm", "setup_norm")
+    proc_norm: int
+    setup_norm: int
 
-    def __post_init__(self) -> None:
-        if self.proc_norm < 1 or self.setup_norm < 1:
+    def __init__(self, proc_norm: int = 1, setup_norm: int = 1) -> None:
+        if proc_norm < 1 or setup_norm < 1:
             raise ValueError("normalizers must be positive")
+        _set(self, "proc_norm", proc_norm)
+        _set(self, "setup_norm", setup_norm)
 
     @classmethod
     def for_instance(cls, instance: Instance) -> "ObjectiveWeights":
@@ -228,24 +300,36 @@ class ObjectiveWeights:
         return weighted / (n_jobs * self.weight_sum)
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
+class CostBreakdown(_Record):
     """Objective components of a schedule plus the normalized aggregate."""
 
+    __slots__ = _fields = ("proc_time", "tardy", "setup_cost", "objective")
     proc_time: int
     tardy: int
     setup_cost: int
     objective: float
 
+    def __init__(self, proc_time: int, tardy: int, setup_cost: int, objective: float) -> None:
+        _set(self, "proc_time", proc_time)
+        _set(self, "tardy", tardy)
+        _set(self, "setup_cost", setup_cost)
+        _set(self, "objective", objective)
 
-@dataclass(frozen=True)
-class Violation:
+
+class Violation(_Record):
     """One broken rule, naming the offending entity."""
 
+    __slots__ = _fields = ("entity", "rule", "detail", "severity")
     entity: str
     rule: str
     detail: str
-    severity: str = "error"
+    severity: str
+
+    def __init__(self, entity: str, rule: str, detail: str, severity: str = "error") -> None:
+        _set(self, "entity", entity)
+        _set(self, "rule", rule)
+        _set(self, "detail", detail)
+        _set(self, "severity", severity)
 
     def __str__(self) -> str:
         return f"{self.severity}: {self.entity}: {self.rule}: {self.detail}"

@@ -205,8 +205,10 @@ def test_move_job_cheap_rejections(example):
     assert apply_move(example, search.layout, move) == [[[3], [1]], [[9]]]
     # a new batch over capacity: job 1 (size 18) alone on machine 2 cut to
     # capacity 17, where jobs 3 (size 17) and 9 still fit
-    machines = (example.machines[0], replace(example.machines[1], capacity=17))
-    small = replace(example, machines=machines)
+    m2 = example.machines[1]
+    machines = (example.machines[0], Machine(m2.id, 17, m2.initial_attribute, m2.availability))
+    small = Instance(machines, example.jobs, example.attribute_count, example.setup_times,
+                     example.setup_costs)
     search = _Search(small, [[[1]], [[3], [9]]])
     move = MoveJobNewBatch(1, 1, 0, 0, 0)
     assert edited_layout(search, move) is None
@@ -244,8 +246,11 @@ def test_sample_move_rejects_empty_ranges(example):
     # with nothing to draw from
     with pytest.raises(ValueError, match="every batch a job"):
         MoveSpace(example, [[[1], []], []])
-    no_machine = replace(example.job(3), eligible=frozenset())
-    instance = replace(example, jobs=(*example.jobs[:2], no_machine, *example.jobs[3:]))
+    j3 = example.job(3)
+    no_machine = Job(j3.id, j3.attribute, j3.size, j3.release, j3.due, j3.min_time, j3.max_time,
+                     frozenset())
+    instance = Instance(example.machines, (*example.jobs[:2], no_machine, *example.jobs[3:]),
+                        example.attribute_count, example.setup_times, example.setup_costs)
     with pytest.raises(ValueError, match="eligible machine"):
         MoveSpace(instance, [[[1]], [[3]]])
 

@@ -10,6 +10,7 @@ import typing
 import pytest
 
 import ovensched
+from ovensched.model import _Record
 
 MODULES = [
     importlib.import_module(f"ovensched.{info.name}")
@@ -18,12 +19,16 @@ MODULES = [
 
 
 def _record_types():
-    """Every dataclass and NamedTuple defined in an ovensched module."""
+    """Every dataclass, record and NamedTuple defined in an ovensched module."""
     for module in MODULES:
         for name, cls in inspect.getmembers(module, inspect.isclass):
             if cls.__module__ != module.__name__:
                 continue
-            if dataclasses.is_dataclass(cls) or (issubclass(cls, tuple) and hasattr(cls, "_fields")):
+            if (
+                dataclasses.is_dataclass(cls)
+                or issubclass(cls, _Record)
+                or (issubclass(cls, tuple) and hasattr(cls, "_fields"))
+            ):
                 yield pytest.param(cls, id=f"{module.__name__.split('.')[-1]}.{name}")
 
 

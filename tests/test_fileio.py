@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import fields
 
@@ -21,7 +22,7 @@ from ovensched import (
     write_results,
     write_solution,
 )
-from ovensched.fileio import RESULT_COLUMNS
+from ovensched.fileio import RESULT_COLUMNS, _int
 from ovensched.model import errors_only, validate_instance
 
 from conftest import (
@@ -108,6 +109,28 @@ def test_parse_errors():
     reordered = good.replace("attribute 2 size 18 release 2", "release 2 size 18 attribute 2")
     assert reordered != good
     assert parse_instance(reordered) == parse_instance(good)
+
+
+def _int_reference(token: str, signed: bool) -> int:
+    """fileio._int's rule stated directly: ASCII digits after one '-' when signed."""
+    digits = token[1:] if signed and token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
+@given(st.text(alphabet="0129-+_ ²６٣a", max_size=5), st.booleans())
+@example("-", True)
+@example("--1", True)
+@example("-12", False)
+def test_integer_tokens_follow_one_rule(token, signed):
+    try:
+        expected = _int_reference(token, signed)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            _int(token, signed)
+    else:
+        assert _int(token, signed) == expected
 
 
 def test_parse_error_carries_location():

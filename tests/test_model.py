@@ -1,15 +1,19 @@
 from __future__ import annotations
 
-import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ovensched import (
+    Batch,
+    CostBreakdown,
     Instance,
     Job,
     Machine,
     ObjectiveWeights,
+    Solution,
+    Violation,
     generate_instance,
     validate_instance,
 )
@@ -106,7 +110,7 @@ def test_weights_validation():
 
 def test_only_the_normalizers_vary():
     # the weights are constants of the objective, not settable fields
-    assert {f.name for f in dataclasses.fields(ObjectiveWeights)} == {"proc_norm", "setup_norm"}
+    assert set(ObjectiveWeights._fields) == {"proc_norm", "setup_norm"}
 
 
 def test_objective_formula(example):
@@ -139,8 +143,96 @@ def test_instance_helpers(example):
     assert example.min_setup_time_into(1) == 0
 
 
+def test_min_setup_time_into_is_the_column_minimum():
+    inst = Instance((), (), 3, ((4, 5, 9), (2, 0, 7), (6, 3, 8)), ((0,) * 3,) * 3)
+    assert [inst.min_setup_time_into(a) for a in (1, 2, 3)] == [2, 0, 7]
+    for seed in range(4):
+        inst = generate_instance(tiny_config(8, seed))
+        for a in range(1, inst.attribute_count + 1):
+            column = [inst.setup_times[q][a - 1] for q in range(inst.attribute_count)]
+            assert inst.min_setup_time_into(a) == min(column)
+
+
 def test_example_matches_fixture_file(example):
     from conftest import EXAMPLE_PATH
     from ovensched import parse_instance
 
     assert parse_instance(EXAMPLE_PATH.read_text()) == example
+
+
+_MACHINE = Machine(1, 20, 1, ((0, 100),))
+_JOB = Job(1, 1, 5, 0, 50, 5, 10, frozenset({1}))
+_BATCH = Batch(frozenset({1}), 0, 5)
+
+# per record type: the arguments of one value and of a value that differs
+# from it in one field
+RECORDS = [
+    (Machine, (1, 20, 1, ((0, 100),)), (1, 18, 1, ((0, 100),))),
+    (Job, (1, 1, 5, 0, 50, 5, 10, frozenset({1})), (1, 1, 5, 0, 50, 5, 10, frozenset({1, 2}))),
+    (Instance, ((_MACHINE,), (_JOB,), 1, ((0,),), ((0,),)), ((_MACHINE,), (_JOB,), 1, ((0,),), ((1,),))),
+    (Batch, (frozenset({1, 2}), 0, 5), (frozenset({1, 2}), 1, 5)),
+    (Solution, (((_BATCH,), ()),), (((), (_BATCH,)),)),
+    (ObjectiveWeights, (18, 10), (18, 11)),
+    (CostBreakdown, (158, 8, 72, 0.8), (158, 8, 72, 0.9)),
+    (Violation, ("job 1", "size", "too big"), ("job 1", "size", "too big", "warning")),
+]
+
+
+@pytest.mark.parametrize("cls, args, changed", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_records_are_frozen_values(cls, args, changed):
+    value, same, other = cls(*args), cls(*args), cls(*changed)
+    assert value == same and hash(value) == hash(same)
+    assert value != other
+    assert value != tuple(getattr(value, name) for name in cls._fields)
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(other, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.no_such_field = 1
+    assert value == same
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is cls and copy == value
+    fields = ", ".join(f"{name}={getattr(value, name)!r}" for name in cls._fields)
+    assert repr(value) == f"{cls.__name__}({fields})"
+
+
+def test_record_repr_is_the_dataclass_form():
+    assert repr(Batch([2, 1], 0, 5)) == "Batch(jobs=frozenset({1, 2}), start=0, processing_time=5)"
+    assert repr(Violation("job 1", "size", "too big")) == (
+        "Violation(entity='job 1', rule='size', detail='too big', severity='error')"
+    )
+    assert repr(ObjectiveWeights()) == "ObjectiveWeights(proc_norm=1, setup_norm=1)"
+
+
+def test_records_of_two_types_differ():
+    assert CostBreakdown(1, 2, 3, 4) != Violation(1, 2, 3, 4)
+
+
+def test_records_normalise_their_fields():
+    machine = Machine(1, 20, 1, [[0, 100], (150.0, 300)])
+    assert machine.availability == ((0, 100), (150, 300))
+    assert all(type(t) is int for window in machine.availability for t in window)
+    job = Job(1, 1, 5, 0, 50, 5, 10, [2, 1, 2])
+    assert job.eligible == frozenset({1, 2}) and isinstance(job.eligible, frozenset)
+    assert Batch([2, 1], 0, 5).jobs == frozenset({1, 2})
+    inst = Instance([_MACHINE], [_JOB], 1, [[0]], [[3]])
+    assert (inst.machines, inst.jobs) == ((_MACHINE,), (_JOB,))
+    assert (inst.setup_times, inst.setup_costs) == (((0,),), ((3,),))
+    assert inst == Instance((_MACHINE,), (_JOB,), 1, ((0,),), ((3,),))
+    solution = Solution([[_BATCH], []])
+    assert solution.batches == ((_BATCH,), ())
+    assert Violation("job 1", "size", "too big").severity == "error"
+    with pytest.raises(ValueError, match="positive"):
+        ObjectiveWeights(18, 0)
+
+
+def test_instance_caches_stay_out_of_equality_and_pickles(example):
+    fresh = Instance(example.machines, example.jobs, example.attribute_count,
+                     example.setup_times, example.setup_costs)
+    assert example.job(3).id == 3 and example.max_capacity == 20
+    assert fresh == example and hash(fresh) == hash(example)
+    copy = pickle.loads(pickle.dumps(example))
+    assert copy == example
+    assert copy.job(3) == example.job(3) and copy.min_setup_time_into(1) == 0

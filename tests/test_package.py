@@ -72,23 +72,27 @@ code = ovensched.cli.dispatch(sys.argv[1:]) if len(sys.argv) > 1 else 0
 new = set(sys.modules) - before
 import json
 print(json.dumps([code, sorted(m for m in new if m.startswith("ovensched.")),
-                  sorted(new & {"ovensched.experiment", "json", "csv"})]))
+                  sorted(new & {"ovensched.experiment", "json", "csv"}),
+                  sorted(new & {"dataclasses", "inspect"})]))
 """
 
 
 def test_each_certificate_command_loads_only_its_modules(tmp_path):
     base = ["ovensched.cli", "ovensched.fileio", "ovensched.model"]
     solution = str(tmp_path / "g.sol")
-    for argv, modules in (
-        ([], []),
-        (["bounds", str(EXAMPLE_PATH)], ["bounds"]),
-        (["greedy", str(EXAMPLE_PATH), "--solution", solution], ["greedy", "schedule"]),
-        (["evaluate", str(EXAMPLE_PATH), solution], ["schedule"]),
+    # only bounds builds dataclasses: its BoundReport
+    for argv, modules, uses_dataclasses in (
+        ([], [], False),
+        (["bounds", str(EXAMPLE_PATH)], ["bounds"], True),
+        (["greedy", str(EXAMPLE_PATH), "--solution", solution], ["greedy", "schedule"], False),
+        (["evaluate", str(EXAMPLE_PATH), solution], ["schedule"], False),
     ):
-        code, loaded, unwanted = _run_fresh(COMMAND_SCRIPT, *argv)
+        code, loaded, unwanted, introspection = _run_fresh(COMMAND_SCRIPT, *argv)
         assert code == 0, argv
         assert loaded == sorted(base + [f"ovensched.{m}" for m in modules]), argv
         assert unwanted == [], argv
+        if not uses_dataclasses:
+            assert introspection == [], argv
 
 
 def test_moved_names_resolve_through_fileio():
