@@ -2,9 +2,9 @@
 
 Four neighborhood moves (swap consecutive batches, reinsert a batch, move a
 job into an existing batch, move a job into a new batch), geometric cooling,
-Metropolis acceptance on the normalized objective, and stopping on final
-temperature, wall-clock limit, a relative gap to a supplied lower bound, or
-a move budget.
+Metropolis acceptance on the integer ObjectiveWeights.score, and stopping on
+final temperature, wall-clock limit, a relative gap to a supplied lower
+bound, or a move budget.
 The move mix (MOVE_PROBS) and the start temperature's target acceptance
 ratio (ACCEPTED_RATIO) are tuned constants. Starts from the greedy
 construction; a job-less instance has no move and stops there. Moves are
@@ -684,7 +684,12 @@ def run_annealing(
 ) -> AnnealResult:
     """Anneal from the greedy start and return the best feasible solution.
 
-    The initial temperature is calibrated from a warm-up pass of random
+    Moves are accepted, and the best solution kept, on the integer
+    ObjectiveWeights.score, so equal costs tie exactly; the float objective
+    only prices a new best. The temperature is held in score units: the
+    score is the objective times scale = n * weight_sum * proc_norm *
+    setup_norm, and final_temp, given in objective units, is multiplied by
+    it. The initial temperature is calibrated from a warm-up pass of random
     moves around the start solution so that the initial acceptance ratio
     approximates ACCEPTED_RATIO. The warm-up accepts no move, so a warm-up
     move drawn again reuses the |delta| of its first draw instead of being
@@ -700,7 +705,9 @@ def run_annealing(
     started = time.perf_counter()
 
     greedy_solution, greedy_cost = construct(instance)
-    current_obj = greedy_cost.objective
+    weights = ObjectiveWeights.for_instance(instance)
+    score = weights.score
+    current = best = score(greedy_cost.proc_time, greedy_cost.tardy, greedy_cost.setup_cost)
 
     best_layout: Layout | None = None  # None while the greedy start is best
     best_cost = greedy_cost
@@ -739,8 +746,11 @@ def run_annealing(
     # the move loops run once per move, so what they call is bound here
     layout, space, evaluate = search.layout, search.space, search.evaluate
     time_limit = params.time_limit
-    objective, n_jobs = ObjectiveWeights.for_instance(instance).objective, instance.n_jobs
+    objective, n_jobs = weights.objective, instance.n_jobs
     clock, uniform, exp = time.perf_counter, rng.random, math.exp
+    # score units per unit of objective
+    scale = n_jobs * weights.weight_sum * weights.proc_norm * weights.setup_norm
+    final_temp = params.final_temp * scale
 
     # the moves the budget has left, taken per stretch (the warm-up, each
     # level) so that no move tests it
@@ -758,21 +768,21 @@ def run_annealing(
         delta = seen.get(move, unseen)
         if delta is unseen:
             outcome = evaluate(move)
-            delta = None if outcome is None else abs(objective(*outcome[1], n_jobs) - current_obj)
+            delta = None if outcome is None else abs(score(*outcome[1]) - current)
             seen[move] = delta
         if delta is not None:
             deltas.append(delta)
     if warmup_moves < params.warmup_moves:
         return finish("max_moves")
-    mean_delta = sum(deltas) / len(deltas) if deltas else 0.0
+    mean_delta = sum(deltas) / len(deltas) if deltas else 0
     if mean_delta > 0:
         temperature = -mean_delta / math.log(ACCEPTED_RATIO)
     else:
-        temperature = params.final_temp
+        temperature = final_temp
 
     moves_per_level = params.moves_per_level or 50 * instance.n_jobs
 
-    while temperature > params.final_temp:
+    while temperature > final_temp:
         level_moves = min(moves_per_level, left)
         left -= level_moves
         for _ in range(level_moves):
@@ -784,14 +794,14 @@ def run_annealing(
             if outcome is None:
                 continue
             edits, totals = outcome
-            new_obj = objective(*totals, n_jobs)
-            delta = new_obj - current_obj
+            new = score(*totals)
+            delta = new - current
             if delta <= 0 or uniform() < exp(-delta / temperature):
                 search.accept(edits, totals)
-                current_obj = new_obj
-                if new_obj < best_cost.objective:
-                    best_layout = list(layout)
-                    best_cost = CostBreakdown(*totals, new_obj)
+                current = new
+                if new < best:
+                    best, best_layout = new, list(layout)
+                    best_cost = CostBreakdown(*totals, objective(*totals, n_jobs))
                     trace.append(TracePoint(now, best_cost))
                     if gap_reached(best_cost):
                         return finish("gap")

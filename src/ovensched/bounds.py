@@ -134,29 +134,11 @@ def eligibility_lb(instance: Instance, small_jobs: Sequence[Job]) -> tuple[int, 
     return batches + spill, sum(terms) + max(0, longest - max(terms))
 
 
-def _normalize_units(units: Sequence[tuple]) -> list[tuple[int, int, int]]:
-    """Accept (lo, hi) or (lo, hi, count) entries; drop zero counts."""
-    normalized = []
-    for entry in units:
-        if len(entry) == 2:
-            lo, hi = entry
-            count = 1
-        else:
-            lo, hi, count = entry
-        if lo > hi:
-            raise ValueError(f"bad processing interval [{lo}, {hi}]")
-        if count < 0:
-            raise ValueError("negative multiplicity")
-        if count:
-            normalized.append((int(lo), int(hi), int(count)))
-    return normalized
-
-
-def gac_plus(units: Sequence[tuple], capacity: int) -> tuple[int, int]:
+def gac_plus(units: Sequence[tuple[int, int, int]], capacity: int) -> tuple[int, int]:
     """Greedy clique cover of unit jobs, longest minimal processing time first.
 
-    units holds (min_time, max_time) or (min_time, max_time, multiplicity)
-    entries; a multiplicity of s stands for s identical unit-size copies.
+    units holds (min_time, max_time, multiplicity) entries; a multiplicity
+    of s stands for s identical unit-size copies.
     Opens a batch labeled with the first unplaced unit and fills it with the
     first `capacity` unplaced units whose interval contains the label. For
     unit jobs on a single machine this minimizes both the batch count and
@@ -166,7 +148,10 @@ def gac_plus(units: Sequence[tuple], capacity: int) -> tuple[int, int]:
     """
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
-    items = sorted(_normalize_units(units), key=lambda unit: -unit[0])  # stable
+    # an inverted interval never takes its own label, so its units never leave
+    if any(lo > hi or count < 0 for lo, hi, count in units):
+        raise ValueError("every unit needs min_time <= max_time and a non-negative multiplicity")
+    items = sorted(units, key=lambda unit: -unit[0])  # stable
     remaining = [count for _, _, count in items]
     batches = 0
     total_time = 0

@@ -246,12 +246,13 @@ def _cmd_anneal(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - started
 
     print(f"instance {args.instance}")
-    best_seed, best = None, None
     for seed, result in outcomes:
         print(f"replicate seed {seed} stop {result.stop_reason} cost {_cost_text(result.cost)}")
-        if best is None or result.cost.objective < best.cost.objective:
-            best_seed, best = seed, result
-    assert best is not None
+    # the lowest score wins, the first seed on a tie
+    score = ObjectiveWeights.for_instance(instance).score
+    best_seed, best = min(
+        outcomes, key=lambda o: score(o[1].cost.proc_time, o[1].cost.tardy, o[1].cost.setup_cost)
+    )
     gap = relative_gap(best.cost.objective, lb.objective_lb)
     print(f"best seed {best_seed} cost {_cost_text(best.cost)}")
     print(f"objective_lb {lb.objective_lb:.6f} gap {gap:.2f}")

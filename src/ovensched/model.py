@@ -229,10 +229,6 @@ class Solution(_Record):
     def __init__(self, batches: Iterable[Iterable[Batch]]) -> None:
         _set(self, "batches", tuple(tuple(bs) for bs in batches))
 
-    @property
-    def batch_count(self) -> int:
-        return sum(len(bs) for bs in self.batches)
-
     def layout(self) -> list[list[list[int]]]:
         """Job-id layout (sorted within batches) matching the batch order."""
         return [[sorted(b.jobs) for b in machine_batches] for machine_batches in self.batches]
@@ -281,7 +277,10 @@ class ObjectiveWeights(_Record):
         """The objective's weighted sum times proc_norm*setup_norm, as an integer.
 
         Orders schedules of one instance exactly as objective does, with no
-        rounding, so comparisons and ties on it are exact.
+        rounding, so comparisons and ties on it are exact. It is the one rule
+        for which schedule is better: the oracle's search and pruning, the
+        annealer's acceptance and best, and the CLI's replicate pick use it;
+        objective only reports.
         """
         return (
             self.w_proc * proc_time * self.setup_norm

@@ -4,7 +4,19 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ovensched.bounds import _normalize_units
+
+def _normalize_units(units: Sequence[tuple]) -> list[tuple[int, int, int]]:
+    """Accept (lo, hi) or (lo, hi, count) entries; drop zero counts."""
+    normalized = []
+    for entry in units:
+        lo, hi, count = entry if len(entry) == 3 else (*entry, 1)
+        if lo > hi:
+            raise ValueError(f"bad processing interval [{lo}, {hi}]")
+        if count < 0:
+            raise ValueError("negative multiplicity")
+        if count:
+            normalized.append((lo, hi, count))
+    return normalized
 
 
 def min_clique_cover(

@@ -167,13 +167,13 @@ def test_gac_plus_examples():
     # attribute 1: 2x[19,19], 4x[19,19], 14x[11,50], cap 20
     assert gac_plus([(19, 19, 2), (19, 19, 4), (11, 50, 14)], 20) == (1, 19)
     # mutually incompatible unit jobs: one batch each
-    units = [(1, 1), (3, 3), (5, 5), (7, 7)]
+    units = [(1, 1, 1), (3, 3, 1), (5, 5, 1), (7, 7, 1)]
     assert gac_plus(units, 3) == (4, 16)
     assert gac_plus([], 5) == (0, 0)
     with pytest.raises(ValueError):
-        gac_plus([(1, 2)], 0)
+        gac_plus([(1, 2, 1)], 0)
     with pytest.raises(ValueError):
-        gac_plus([(3, 1)], 2)
+        gac_plus([(3, 1, 1)], 2)
 
 
 def test_combine_overall(example):

@@ -67,7 +67,7 @@ def test_identical_jobs_chunk_by_capacity():
         setup_costs=((0,),),
     )
     solution, cost = construct(inst)
-    assert solution.batch_count == 3  # ceil(7 / 3)
+    assert sum(map(len, solution.batches)) == 3  # ceil(7 / 3)
     assert cost.proc_time == 30
 
 
@@ -314,7 +314,7 @@ def test_pinned_greedy_at_benchmark_scale(
     solution, cost = construct(generate_instance(config))
     assert (cost.proc_time, cost.tardy, cost.setup_cost) == expected
     assert cost.objective == objective
-    assert solution.batch_count == batch_count
+    assert sum(map(len, solution.batches)) == batch_count
     assert schedule_digest(solution) == digest
 
 

@@ -57,7 +57,7 @@ def test_min_clique_cover_matches_gac_plus_randomly():
             lo = rng.randint(1, 10)
             units.append((lo, rng.randint(lo, 10)))
         capacity = rng.randint(1, 4)
-        assert min_clique_cover(units, capacity) == gac_plus(units, capacity)
+        assert min_clique_cover(units, capacity) == gac_plus([(*unit, 1) for unit in units], capacity)
 
 
 def test_min_clique_cover_validation():

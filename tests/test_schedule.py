@@ -52,7 +52,7 @@ def test_build_schedule_single_job(example):
 
 def test_build_schedule_empty_layout(example):
     solution = build_schedule(example, [[], []])
-    assert solution.batch_count == 0
+    assert sum(map(len, solution.batches)) == 0
     cost = evaluate(example, solution, weights_for(example), check=False)
     assert (cost.proc_time, cost.tardy, cost.setup_cost) == (0, 0, 0)
 
