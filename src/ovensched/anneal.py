@@ -9,14 +9,15 @@ The move mix (MOVE_PROBS) and the start temperature's target acceptance
 ratio (ACCEPTED_RATIO) are tuned constants. Starts from the greedy
 construction; a job-less instance has no move and stops there. Moves are
 evaluated incrementally:
-each batch of the current layout carries a summary of its jobs
-(schedule.summarize), made once when a move creates the batch, and each
+each batch of the current layout is held as its summary
+(schedule.summarize: its job ids, in increasing order, and what scheduling
+needs from them), made once when a move creates the batch, and each
 machine row keeps its schedule state per position. The edit that makes a
 batch summarizes it and tests it against the batch rules
 (schedule.batch_fault), so a job move into a batch it cannot join is
 discarded before any rescheduling; a job move into a kept batch is tested
-on the kept summary and the job, which says the same, and builds the
-merged batch only when it passes. The jobs a move leaves behind in a
+on the kept summary and the job, which says the same, and merges the job
+into the summary only when it passes. The jobs a move leaves behind in a
 batch obey the rules as the batch did. A move reschedules an edited row
 only from its first changed batch and skips the rest of each stretch of
 old batches (the run between its two edit points, the tail after the last)
@@ -24,7 +25,7 @@ once it is those batches slid in time; the cost change is the new entries
 minus the replaced ones. Moves whose rows cannot be scheduled are
 discarded. Batch objects are built only for the returned best solution.
 What sample_move draws from is kept with the layout as tables (MoveSpace:
-jobs per row and per batch prefix of each row, the layout-order index of
+jobs per batch prefix of each row, the layout-order index of
 each row's first batch, the rows of two batches or more, the job count,
 each job's eligible machine indices, and the move-kind thresholds), counted
 again only for the rows an accepted move changed, so a draw picks its kind
@@ -78,7 +79,7 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .bounds import BoundReport
 from .greedy import construct
@@ -198,25 +199,27 @@ class MoveJobNewBatch:
 
 Move = Union[SwapBatches, ReinsertBatch, MoveJob, MoveJobNewBatch]
 
+# the annealer's layout: per machine row, its batches as summaries
+_Layout = Sequence[Sequence[BatchSummary]]
+
 
 class MoveSpace:
     """What sample_move draws from in a layout, kept as tables.
 
-    row_jobs[m] counts the jobs of machine row m and prefix_jobs[m][b] those
-    of its batches 0 to b, so a drawn job index is found by the row totals
-    and a bisect. first_batch[m] is the layout-order index of row m's first
-    batch (first_batch[-1] counts the layout's batches), so a drawn batch
-    index is found by a bisect that passes over empty rows. multi_batch
-    lists the rows of two batches or more in machine order, jobs counts the
-    layout's jobs, and eligible[job id] holds the indices of the job's
-    eligible machines in increasing machine-id order. kinds is (total, c0,
-    c1, c2, c3): the sum of the kind weights (MOVE_PROBS, each kind without
-    arguments weighted 0) and their cumulative sums, which change only when
-    multi_batch empties or fills or the batch count crosses 2. A layout
-    without jobs has no move, so it is rejected with a ValueError.
+    prefix_jobs[m][b] counts the jobs of machine row m's batches before b,
+    so the row's total is prefix_jobs[m][-1] and a drawn job index is found
+    by the row totals and a bisect. first_batch[m] is the layout-order index
+    of row m's first batch (first_batch[-1] counts the layout's batches), so
+    a drawn batch index is found by a bisect that passes over empty rows.
+    multi_batch lists the rows of two batches or more in machine order, jobs
+    counts the layout's jobs, and eligible[job id] holds the indices of the
+    job's eligible machines in increasing machine-id order. kinds is (total,
+    c0, c1, c2, c3): the sum of the kind weights (MOVE_PROBS, each kind
+    without arguments weighted 0) and their cumulative sums, which change
+    only when multi_batch empties or fills or the batch count crosses 2. A
+    layout without jobs has no move, so it is rejected with a ValueError.
     """
 
-    row_jobs: list[int]
     prefix_jobs: list[list[int]]
     first_batch: list[int]
     multi_batch: list[int]
@@ -224,21 +227,17 @@ class MoveSpace:
     eligible: dict[int, tuple[int, ...]]
     kinds: tuple[float, float, float, float, float]
 
-    def __init__(self, instance: Instance, layout: Layout):
+    def __init__(self, instance: Instance, layout: _Layout):
         index = {machine.id: m for m, machine in enumerate(instance.machines)}
         self.eligible = {j.id: tuple(index[i] for i in sorted(j.eligible)) for j in instance.jobs}
-        empty_batch = any(not batch for row in layout for batch in row)
-        if not all(self.eligible.values()) or empty_batch or not any(layout):
+        if not all(self.eligible.values()) or not any(layout):
             # sample_move would draw from an empty range, which never ends
-            raise ValueError(
-                "the layout needs a job, every job an eligible machine and every batch a job"
-            )
-        self.row_jobs = [0] * len(layout)
-        self.prefix_jobs = [[] for _ in layout]
+            raise ValueError("the layout needs a job and every job an eligible machine")
+        self.prefix_jobs = [[0] for _ in layout]
         self.first_batch = [0]
         self.multi_batch = []
         self.recount(layout, range(len(layout)))
-        self.jobs = sum(self.row_jobs)
+        self.jobs = sum(prefix[-1] for prefix in self.prefix_jobs)
         self._weigh()
 
     def _weigh(self) -> None:
@@ -251,7 +250,7 @@ class MoveSpace:
         )
         self.kinds = (sum(weights), *accumulate(weights))
 
-    def recount(self, layout: Layout, rows: Iterable[int]) -> None:
+    def recount(self, layout: _Layout, rows: Iterable[int]) -> None:
         """Count the given rows again after they changed; a move keeps `jobs`.
 
         multi_batch is listed again only when a row crosses two batches, and
@@ -261,33 +260,30 @@ class MoveSpace:
         before = self.first_batch[-1] >= 2, bool(self.multi_batch)
         crossed = False
         for m in rows:
-            prefix = list(accumulate(map(len, layout[m])))
-            crossed = crossed or (len(self.prefix_jobs[m]) >= 2) != (len(prefix) >= 2)
+            prefix = [0, *accumulate(len(batch.jobs) for batch in layout[m])]
+            crossed = crossed or (len(self.prefix_jobs[m]) >= 3) != (len(prefix) >= 3)
             self.prefix_jobs[m] = prefix
-            self.row_jobs[m] = prefix[-1] if prefix else 0
         self.first_batch = [0, *accumulate(map(len, layout))]
         if crossed:
             self.multi_batch = [m for m, row in enumerate(layout) if len(row) >= 2]
         if before != (self.first_batch[-1] >= 2, bool(self.multi_batch)):
             self._weigh()
 
-    def job_at(self, layout: Layout, index: int) -> tuple[int, int, int]:
+    def job_at(self, layout: _Layout, index: int) -> tuple[int, int, int]:
         """(job id, machine, batch) of the index-th job in layout order."""
-        for m, size in enumerate(self.row_jobs):
-            if index < size:
-                prefix = self.prefix_jobs[m]
-                b = bisect_right(prefix, index)
-                if b:
-                    index -= prefix[b - 1]
-                return layout[m][b][index], m, b
-            index -= size
+        for m, prefix in enumerate(self.prefix_jobs):
+            if index < prefix[-1]:
+                b = bisect_right(prefix, index) - 1
+                return layout[m][b].jobs[index - prefix[b]], m, b
+            index -= prefix[-1]
         raise IndexError("job index out of range")
 
 
-def sample_move(layout: Layout, rng: random.Random, space: MoveSpace) -> Move:
+def sample_move(layout: _Layout, rng: random.Random, space: MoveSpace) -> Move:
     """Draw a move kind by MOVE_PROBS, then uniform arguments.
 
-    space is the layout's MoveSpace. Kinds whose argument space is empty are
+    layout holds each row's batches as summaries (_Search.layout), and
+    space is its MoveSpace. Kinds whose argument space is empty are
     excluded from the draw (the distribution is the same as resampling until
     a usable kind comes up); a move into a new batch always has arguments,
     as the layout has a job. Jobs and batches are drawn by their index in
@@ -326,39 +322,38 @@ State = tuple[int, int, int, int, int]
 
 
 class _Row(NamedTuple):
-    """Machine row m of the search: summaries and schedule of _Search.layout[m].
+    """Machine row m of the search: the schedule of _Search.layout[m].
 
-    summaries[i] is the summary of batch i. states[i] is the (attribute,
-    end, processing time, tardy jobs, setup cost) entry of batch i - 1;
-    states[0] is the machine's initial attribute at time 0 with no cost, so
-    the row holds len(states) - 1 batches. cost sums the last three fields
-    over the row. ranges[i] is (earliest, latest, low, high): batch i slides
-    to any end in [earliest, latest] at unchanged cost, and batches i,
-    i + 1, ... all slide by one offset when batch i - 1 ends anywhere in
-    [low, high] (see the module docstring). A move's rescheduling tests
-    [low, high] in each stretch of old batches it reaches; as it covers the
-    row to its end, it is exact for a true suffix and enough for a run.
+    states[i] is the (attribute, end, processing time, tardy jobs, setup
+    cost) entry of batch i - 1; states[0] is the machine's initial attribute
+    at time 0 with no cost, so the row holds len(states) - 1 batches. cost
+    sums the last three fields over the row. ranges[i] is (earliest, latest,
+    low, high): batch i slides to any end in [earliest, latest] at unchanged
+    cost, and batches i, i + 1, ... all slide by one offset when batch i - 1
+    ends anywhere in [low, high] (see the module docstring). A move's
+    rescheduling tests [low, high] in each stretch of old batches it
+    reaches; as it covers the row to its end, it is exact for a true suffix
+    and enough for a run.
     """
 
-    summaries: list[BatchSummary]
     states: list[State]
     cost: tuple[int, int, int]
     ranges: list[tuple[int, int, int, int]]
 
 
 class _RowEdit:
-    """A copy of one machine row's batches under edit, with the span that
-    changed, the old _Row, and the new schedule once _reschedule has run.
+    """A copy of one machine row's batch summaries under edit, with the span
+    that changed, the old _Row, and the new schedule once _reschedule has run.
 
-    summaries[i] is the summary of row[i]. The row holds stretches of old
-    batches: a stretch (lo, hi, shift) says that row[lo:hi] is the old
-    batches[lo - shift:hi - shift] in their old order. row[:start] is the
-    old batches[:start], and the tail (stop, len(row), len(row) - the old
-    length) is a stretch. An edit that changes the row at two points also
-    keeps the old batches between them: run is that stretch, with shift -1,
-    0 or +1 and start <= lo <= hi <= stop; move and the same-row job moves
-    of _Search.edit_rows set it, and it is None otherwise. Batches are
-    never changed in place, so unchanged ones are shared with the old row.
+    The row holds stretches of old batches: a stretch (lo, hi, shift) says
+    that row[lo:hi] is the old batches[lo - shift:hi - shift] in their old
+    order. row[:start] is the old batches[:start], and the tail (stop,
+    len(row), len(row) - the old length) is a stretch. An edit that changes
+    the row at two points also keeps the old batches between them: run is
+    that stretch, with shift -1, 0 or +1 and start <= lo <= hi <= stop; move
+    and the same-row job moves of _Search.edit_rows set it, and it is None
+    otherwise. Batches are never changed in place, so unchanged ones are
+    shared with the old row.
 
     _reschedule sets cost, slid and states. slid lists, in row order, the
     stretches that slid as (first, hi, shift, offset): row[first:hi] are
@@ -367,48 +362,42 @@ class _RowEdit:
     which are all but the slid ones.
     """
 
-    __slots__ = (
-        "old", "row", "summaries", "start", "stop", "run", "states", "cost", "slid"
-    )
+    __slots__ = ("old", "row", "start", "stop", "run", "states", "cost", "slid")
 
-    def __init__(self, old: _Row, batches: list[list[int]]):
+    def __init__(self, old: _Row, batches: list[BatchSummary]):
         self.old = old
         self.row = list(batches)
-        self.summaries = list(old.summaries)
         self.start = len(batches)
         self.stop = 0
         self.run = None
 
-    def replace(self, b: int, batch: list[int], summary: BatchSummary) -> None:
+    def replace(self, b: int, batch: BatchSummary) -> None:
         self.row[b] = batch
-        self.summaries[b] = summary
         self.start = min(self.start, b)
         self.stop = max(self.stop, b + 1)
 
     def delete(self, b: int) -> None:
         del self.row[b]
-        del self.summaries[b]
         self.start = min(self.start, b)
         self.stop = max(self.stop - 1, b)
 
-    def insert(self, b: int, batch: list[int], summary: BatchSummary) -> None:
+    def insert(self, b: int, batch: BatchSummary) -> None:
         self.row.insert(b, batch)
-        self.summaries.insert(b, summary)
         self.start = min(self.start, b)
         self.stop = max(self.stop, b) + 1
 
     def move(self, src: int, dst: int) -> None:
-        batch, summary = self.row[src], self.summaries[src]
+        batch = self.row[src]
         self.delete(src)
-        self.insert(dst, batch, summary)
+        self.insert(dst, batch)
         self.run = (src, dst, -1) if src < dst else (dst + 1, src + 1, 1)
 
     def remove_job(self, instance: Instance, b: int, job_id: int) -> None:
         """Take a job out of batch b. The jobs left obey the batch rules, as
         the batch did, so they are summarized without a check."""
-        rest = [j for j in self.row[b] if j != job_id]
+        rest = [j for j in self.row[b].jobs if j != job_id]
         if rest:
-            self.replace(b, rest, summarize(instance, rest))
+            self.replace(b, summarize(instance, rest))
         else:
             self.delete(b)
 
@@ -425,7 +414,7 @@ def _reschedule(instance: Instance, machine: Machine, edit: _RowEdit) -> bool:
     batch, and stops there when that is the row's end. The slid batches
     count neither as placed nor as replaced.
     """
-    old, summaries, start, stop = edit.old, edit.summaries, edit.start, edit.stop
+    old, summaries, start, stop = edit.old, edit.row, edit.start, edit.stop
     states, ranges = old.states, old.ranges
     setup_times = instance.setup_times
     setup_costs = instance.setup_costs
@@ -494,7 +483,7 @@ def _materialize(instance: Instance, machine: Machine, edit: _RowEdit) -> _Row:
     out as before; the positions below it keep theirs. The edit is read,
     not changed.
     """
-    old, summaries, start, slid = edit.old, edit.summaries, edit.start, edit.slid
+    old, summaries, start, slid = edit.old, edit.row, edit.start, edit.slid
     states = list(edit.states)
     ranges = old.ranges[:start] + [None] * (len(states) - 1 - start)
     for first, hi, shift, offset in slid:
@@ -540,35 +529,40 @@ def _materialize(instance: Instance, machine: Machine, edit: _RowEdit) -> _Row:
             break
         ranges[k] = earliest, latest, low, high
         end = prev_end
-    return _Row(summaries, states, edit.cost, ranges)
+    return _Row(states, edit.cost, ranges)
 
 
 class _Search:
     """The annealer's current layout, evaluated incrementally.
 
-    layout[m] holds machine row m's batches and rows[m] their summaries and
-    per-position schedule state (_Row), so a move is costed by rescheduling
-    only the changed part of the rows it edits. totals are the (processing
-    time, tardy jobs, setup cost) of the whole layout. solo[job id] is the
-    summary of the job alone, which a move into a new batch reads. space is
-    the layout's MoveSpace, kept for sample_move; accept counts it again
-    only for the rows the move edited.
+    layout[m] holds machine row m's batches as summaries, each batch's ids
+    in increasing order, and rows[m] their per-position schedule state
+    (_Row), so a move is costed by rescheduling only the changed part of the
+    rows it edits. A row with an empty batch or that cannot be scheduled is
+    rejected with a ValueError that names its machine. totals are the
+    (processing time, tardy jobs, setup cost) of the whole layout. solo[job
+    id] is the summary of the job alone, which a move into a new batch
+    reads. space is the layout's MoveSpace, kept for sample_move; accept
+    counts it again only for the rows the move edited.
     """
 
     def __init__(self, instance: Instance, layout: Layout):
         self.instance = instance
-        self.layout: list[list[list[int]]] = [list(row) for row in layout]
+        self.layout: list[list[BatchSummary]] = []
         self.rows: list[_Row] = []
-        for machine, row in zip(instance.machines, self.layout):
-            edit = _RowEdit(_Row([], [(machine.initial_attribute, 0, 0, 0, 0)], (0, 0, 0), []), [])
+        for machine, row in zip(instance.machines, layout):
+            edit = _RowEdit(_Row([(machine.initial_attribute, 0, 0, 0, 0)], (0, 0, 0), []), [])
             for batch in row:
-                summary = summarize(instance, batch)
-                if batch_fault(instance, machine, batch, summary) is not None:
+                if not batch:
+                    raise ValueError(f"machine {machine.id} row holds an empty batch")
+                summary = summarize(instance, sorted(batch))
+                if batch_fault(instance, machine, summary) is not None:
                     raise ValueError(f"machine {machine.id} row cannot be scheduled")
-                edit.insert(len(edit.row), batch, summary)
+                edit.insert(len(edit.row), summary)
             if not _reschedule(instance, machine, edit):
                 raise ValueError(f"machine {machine.id} row cannot be scheduled")
             self.rows.append(_materialize(instance, machine, edit))
+            self.layout.append(edit.row)
         self.totals = tuple(map(sum, zip(*(r.cost for r in self.rows))))
         self.solo = {j.id: summarize(instance, [j.id]) for j in instance.jobs}
         self.space = MoveSpace(instance, self.layout)
@@ -582,9 +576,10 @@ class _Search:
         kept batch obeys the rules on its machine, so a job joins it exactly
         when the job has the batch's attribute and the machine, and the
         sizes and the processing-time intervals of the batch's summary and
-        the job fit together; only then is the merged batch built, and its
-        summary is the kept one with the job added. A job moved into a new
-        batch is tested on its kept one-job summary (solo).
+        the job fit together; only then is the merged summary built, the
+        kept one with the job added, its id and due date each in order. A
+        job moved into a new batch is tested on its kept one-job summary
+        (solo).
         """
         kind, target = type(move), move.machine
         if kind is SwapBatches or kind is ReinsertBatch:
@@ -602,7 +597,7 @@ class _Search:
             b = move.batch
             if (target, b) == (m0, b0):
                 return None
-            job, host = instance.job(job_id), self.rows[target].summaries[b]
+            job, host = instance.job(job_id), self.layout[target][b]
             proc, max_time = max(host.proc, job.min_time), min(host.max_time, job.max_time)
             if (
                 job.attribute != host.attribute
@@ -611,9 +606,10 @@ class _Search:
                 or proc > max_time
             ):
                 return None
-            dues = host.dues
-            k = bisect_right(dues, job.due)
-            summary = BatchSummary(
+            jobs, dues = host.jobs, host.dues
+            i, k = bisect_right(jobs, job_id), bisect_right(dues, job.due)
+            batch = BatchSummary(
+                (*jobs[:i], job_id, *jobs[i:]),
                 host.attribute,
                 host.size + job.size,
                 proc,
@@ -622,26 +618,25 @@ class _Search:
                 (*dues[:k], job.due, *dues[k:]),
                 host.eligible & job.eligible,
             )
-            batch = sorted([*self.layout[target][b], job_id])
         else:
-            batch, summary = [job_id], self.solo[job_id]
-            if batch_fault(instance, machine, batch, summary) is not None:
+            batch = self.solo[job_id]
+            if batch_fault(instance, machine, batch) is not None:
                 return None
         edits = {target: _RowEdit(self.rows[target], self.layout[target])}
         if m0 != target:
             edits[m0] = _RowEdit(self.rows[m0], self.layout[m0])
         edit = edits[target]
         if kind is MoveJob:
-            edit.replace(b, batch, summary)
+            edit.replace(b, batch)
             edits[m0].remove_job(instance, b0, job_id)
         else:
             edits[m0].remove_job(instance, b0, job_id)
             b = min(move.position, len(edit.row))
-            edit.insert(b, batch, summary)
+            edit.insert(b, batch)
         if m0 == target:
             # the run between the two edit points; batch b0 is gone from
             # the row when the job was its only one
-            kept = len(self.layout[m0][b0]) > 1
+            kept = len(self.layout[m0][b0].jobs) > 1
             if kind is MoveJob:
                 if b < b0:
                     edit.run = (b + 1, b0, 0)
@@ -709,7 +704,7 @@ def run_annealing(
     score = weights.score
     current = best = score(greedy_cost.proc_time, greedy_cost.tardy, greedy_cost.setup_cost)
 
-    best_layout: Layout | None = None  # None while the greedy start is best
+    best_layout: _Layout | None = None  # None while the greedy start is best
     best_cost = greedy_cost
 
     trace = [TracePoint(0.0, best_cost)]
@@ -719,8 +714,11 @@ def run_annealing(
 
     def finish(reason: str) -> AnnealResult:
         trace.append(TracePoint(elapsed(), best_cost))
+        solution = greedy_solution
+        if best_layout is not None:
+            solution = build_schedule(instance, [[b.jobs for b in row] for row in best_layout])
         return AnnealResult(
-            solution=greedy_solution if best_layout is None else build_schedule(instance, best_layout),
+            solution=solution,
             cost=best_cost,
             trace=tuple(trace),
             stop_reason=reason,

@@ -6,9 +6,9 @@ assignment and every batch order per machine is tried; each candidate is
 scheduled deterministically. One incumbent keeps the least score and its
 layout, and the optimum's components come from pricing it once
 (schedule.evaluate). Each candidate batch (a block) is summarized once
-(schedule.summarize) and may run on the eligible machines where
-schedule.batch_fault finds no fault; a block with no such machine ends the
-batchings that would contain it. Lower bounds from the bounds module can
+(schedule.summarize), the summary holding its job ids, and may run on the
+eligible machines where schedule.batch_fault finds no fault; a block with
+no such machine ends the batchings that would contain it. Lower bounds from the bounds module can
 prune batchings whose bound already exceeds the incumbent; each block keeps
 its members that are late wherever it runs, from bounds.late_floor. The
 order search on one machine cuts a prefix when an earlier prefix over the
@@ -68,13 +68,12 @@ class OracleResult:
 
 
 class _Block(NamedTuple):
-    """A batch of the search: its job ids, their summary (schedule.summarize),
-    the ids of the eligible machines it may run on, the ones where
-    schedule.batch_fault finds no fault, and its tardy floor: the members
+    """A batch of the search: its summary (schedule.summarize), which holds
+    its job ids; the ids of the eligible machines it may run on where
+    schedule.batch_fault finds no fault; and its tardy floor: the members
     late wherever it runs after the smallest setup into its attribute
     (bounds.late_floor), None when it fits on none of its machines."""
 
-    jobs: tuple[int, ...]
     summary: BatchSummary
     machines: tuple[int, ...]
     tardy_floor: int | None
@@ -85,13 +84,13 @@ def _make_block(instance: Instance, ids: tuple[int, ...]) -> _Block:
     machines = tuple(
         m
         for m in sorted(summary.eligible)
-        if batch_fault(instance, instance.machine(m), ids, summary) is None
+        if batch_fault(instance, instance.machine(m), summary) is None
     )
     setup = instance.min_setup_time_into(summary.attribute)
     floor = late_floor(
         summary.release, summary.proc, summary.dues, map(instance.machine, machines), setup
     )
-    return _Block(ids, summary, machines, floor)
+    return _Block(summary, machines, floor)
 
 
 def _batchings(
@@ -168,8 +167,8 @@ class _MachineOrderSearch:
 
     def best_order(self, machine: Machine, blocks: tuple[_Block, ...]):
         """Return (score, order) or None if unschedulable."""
-        blocks = tuple(sorted(blocks, key=lambda b: b.jobs))
-        key = (machine.id, tuple(b.jobs for b in blocks))
+        blocks = tuple(sorted(blocks, key=lambda b: b.summary.jobs))
+        key = (machine.id, tuple(b.summary.jobs for b in blocks))
         if key in self.cache:
             return self.cache[key]
         suffix_floor = sum(
@@ -210,7 +209,7 @@ class _MachineOrderSearch:
                 block_tardy = bisect_left(summary.dues, end)
                 block_setup = setup_costs[summary.attribute - 1]
                 descend(
-                    order + (block.jobs,),
+                    order + (summary.jobs,),
                     placed | 1 << b,
                     end,
                     summary.attribute,

@@ -10,12 +10,13 @@ start times against the windows on its own.
 
 The batch rules that do not depend on a batch's position (one attribute,
 eligibility, capacity, compatible processing times) live here once:
-summarize reads a batch's jobs in one pass into a BatchSummary, and
-batch_fault tests the rules on it. schedule_machine, the exact oracle and
+summarize reads a batch's jobs in one pass into a BatchSummary, the one
+value per batch that the annealer and the oracle hold, its job ids with
+it, and batch_fault tests the rules on it. schedule_machine, the oracle and
 the annealer's move into a new batch test a whole batch with batch_fault.
 Two places test one job against a batch being grown inline instead: the
 annealer's job move (anneal._Search.edit_rows) on the kept summary of its
-target batch, before the merged batch is built, and greedy's fill
+target batch, before the merged summary is built, and greedy's fill
 (greedy._open_batch) on its running totals, which it keeps for speed (see
 there). Every batch is placed with Machine.earliest_start, after the
 previous batch's end plus setup and the batch's latest release.
@@ -64,8 +65,9 @@ class InfeasibleSolution(Exception):
 
 
 class BatchSummary(NamedTuple):
-    """What scheduling needs from a batch's jobs, read once per batch."""
+    """A batch's job ids and what scheduling needs from its jobs, read once."""
 
+    jobs: tuple[int, ...]  # in the order summarize was given them
     attribute: int | None  # None when the jobs mix attributes
     size: int
     proc: int  # largest min_time: the shortest feasible processing time
@@ -76,9 +78,10 @@ class BatchSummary(NamedTuple):
 
 
 def summarize(instance: Instance, job_ids: Collection[int]) -> BatchSummary:
-    """Summary of a non-empty batch of job ids, in one pass over its jobs."""
+    """Summary of a batch of job ids in one pass; the batch must be non-empty."""
     job = instance.job
-    ids = iter(job_ids)
+    jobs = tuple(job_ids)
+    ids = iter(jobs)
     first = job(next(ids))
     attribute = first.attribute
     size = first.size
@@ -101,13 +104,11 @@ def summarize(instance: Instance, job_ids: Collection[int]) -> BatchSummary:
         dues.append(j.due)
         eligible = eligible & j.eligible
     dues.sort()
-    return BatchSummary(attribute, size, proc, max_time, release, tuple(dues), eligible)
+    return BatchSummary(jobs, attribute, size, proc, max_time, release, tuple(dues), eligible)
 
 
-def batch_fault(
-    instance: Instance, machine: Machine, job_ids: Collection[int], summary: BatchSummary
-) -> str | None:
-    """The first batch rule the jobs break on the machine, or None.
+def batch_fault(instance: Instance, machine: Machine, summary: BatchSummary) -> str | None:
+    """The first batch rule the summarized batch breaks on the machine, or None.
 
     These rules do not depend on the batch's position in the row; the
     availability windows are Machine.earliest_start's part.
@@ -115,7 +116,7 @@ def batch_fault(
     if summary.attribute is None:
         return "jobs mix attributes"
     if machine.id not in summary.eligible:
-        job_id = next(j for j in job_ids if machine.id not in instance.job(j).eligible)
+        job_id = next(j for j in summary.jobs if machine.id not in instance.job(j).eligible)
         return f"job {job_id} not eligible"
     if summary.size > machine.capacity:
         return "capacity exceeded"
@@ -141,7 +142,7 @@ def schedule_machine(
         if not job_ids:
             raise InfeasibleBatch(machine.id, position, "empty batch")
         summary = summarize(instance, job_ids)
-        fault = batch_fault(instance, machine, job_ids, summary)
+        fault = batch_fault(instance, machine, summary)
         if fault is not None:
             raise InfeasibleBatch(machine.id, position, fault)
         setup = instance.setup_times[prev_attribute - 1][summary.attribute - 1]

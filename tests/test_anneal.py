@@ -48,6 +48,23 @@ def layout_of(instance):
     return solution.layout()
 
 
+def id_layout(layout):
+    """The job ids of a layout of batch summaries, such as _Search.layout."""
+    return [[list(batch.jobs) for batch in row] for row in layout]
+
+
+def summarized(instance, layout):
+    """A layout of job ids as the batch summaries MoveSpace and sample_move read."""
+    return [[summarize(instance, batch) for batch in row] for row in layout]
+
+
+def _check_batches(instance, batches):
+    """Each batch summary is the summary of its ids, and its ids increase."""
+    for batch in batches:
+        assert batch == summarize(instance, batch.jobs)
+        assert all(a < b for a, b in zip(batch.jobs, batch.jobs[1:]))
+
+
 def partition_ids(layout):
     ids = [j for row in layout for batch in row for j in batch]
     return sorted(ids)
@@ -116,15 +133,15 @@ def apply_move(instance, layout, move):
 
 
 def edited_layout(search, move):
-    """The layout after search.edit_rows(move), or None when it rejects the
-    move; every edited row's summaries must match its batches."""
+    """The job-id layout after search.edit_rows(move), or None when it
+    rejects the move; every edited row's batches must be checked batches."""
     edits = search.edit_rows(move)
     if edits is None:
         return None
-    layout = list(search.layout)
+    layout = id_layout(search.layout)
     for m, edit in edits.items():
-        assert edit.summaries == [summarize(search.instance, b) for b in edit.row]
-        layout[m] = edit.row
+        _check_batches(search.instance, edit.row)
+        layout[m] = [list(batch.jobs) for batch in edit.row]
     return layout
 
 
@@ -153,8 +170,9 @@ def test_forced_swap_on_two_batch_machine():
     # machine 0 holds the only pair of consecutive batches
     layout = [[[1], [2]], []]
     inst = generate_instance(tiny_config(2, 99))
-    space, rng = MoveSpace(inst, layout), random.Random(0)
-    moves = [sample_move(layout, rng, space) for _ in range(200)]
+    summaries = summarized(inst, layout)
+    space, rng = MoveSpace(inst, summaries), random.Random(0)
+    moves = [sample_move(summaries, rng, space) for _ in range(200)]
     swaps = [move for move in moves if isinstance(move, SwapBatches)]
     assert swaps and set(swaps) == {SwapBatches(machine=0, position=0)}
     new_layout = apply_move(inst, layout, swaps[0])
@@ -164,26 +182,27 @@ def test_forced_swap_on_two_batch_machine():
 def test_moves_preserve_partition(example):
     rng = random.Random(11)
     search = _Search(example, layout_of(example))
-    expected = partition_ids(search.layout)
+    expected = partition_ids(id_layout(search.layout))
     applied = 0
     for _ in range(600):
         move = sample_move(search.layout, rng, search.space)
         new_layout = edited_layout(search, move)
-        assert new_layout == apply_move(example, search.layout, move)
+        assert new_layout == apply_move(example, id_layout(search.layout), move)
         outcome = search.evaluate(move)
         if outcome is None:
             continue
         applied += 1
         search.accept(*outcome)
-        assert search.layout == new_layout
-        assert partition_ids(search.layout) == expected
+        assert id_layout(search.layout) == new_layout
+        assert partition_ids(new_layout) == expected
     assert applied > 100
 
 
 def test_move_job_new_batch_keeps_partition(example):
     search = _Search(example, layout_of(example))
-    new_layout = edited_layout(search, MoveJobNewBatch(5, 1, 0, *_locate(search.layout, 5)))
-    assert partition_ids(new_layout) == partition_ids(search.layout)
+    layout = id_layout(search.layout)
+    new_layout = edited_layout(search, MoveJobNewBatch(5, 1, 0, *_locate(layout, 5)))
+    assert partition_ids(new_layout) == partition_ids(layout)
     assert new_layout[1][0] == [5]
 
 
@@ -197,13 +216,13 @@ def test_move_job_cheap_rejections(example):
         MoveJob(9, 1, 1, 1, 1),  # into its own batch
     ):
         assert edited_layout(search, move) is None
-        assert apply_move(example, search.layout, move) is None
+        assert apply_move(example, id_layout(search.layout), move) is None
     # new batches: job 3 is not eligible on machine 1; scheduling rejects
     # what the reference lets through
     move = MoveJobNewBatch(3, 0, 0, 1, 0)
     assert edited_layout(search, move) is None
     assert search.evaluate(move) is None
-    assert apply_move(example, search.layout, move) == [[[3], [1]], [[9]]]
+    assert apply_move(example, id_layout(search.layout), move) == [[[3], [1]], [[9]]]
     # a new batch over capacity: job 1 (size 18) alone on machine 2 cut to
     # capacity 17, where jobs 3 (size 17) and 9 still fit
     m2 = example.machines[1]
@@ -213,7 +232,7 @@ def test_move_job_cheap_rejections(example):
     search = _Search(small, [[[1]], [[3], [9]]])
     move = MoveJobNewBatch(1, 1, 0, 0, 0)
     assert edited_layout(search, move) is None
-    assert apply_move(small, search.layout, move) is None
+    assert apply_move(small, id_layout(search.layout), move) is None
 
 
 def test_move_job_passes_cheap_checks_and_reschedules(example):
@@ -221,18 +240,20 @@ def test_move_job_passes_cheap_checks_and_reschedules(example):
     # windows meet at 50, so the move survives the batch rules and the
     # machine reschedules cleanly
     search = _Search(example, layout_of(example))
+    layout = id_layout(search.layout)
     target = next(
         (m, b)
-        for m, row in enumerate(search.layout)
+        for m, row in enumerate(layout)
         for b, batch in enumerate(row)
         if batch == [8]
     )
-    move = MoveJob(5, *target, *_locate(search.layout, 5))
+    move = MoveJob(5, *target, *_locate(layout, 5))
     outcome = search.evaluate(move)
     assert outcome is not None
     search.accept(*outcome)
-    assert sorted(search.layout[target[0]][-1]) == [5, 8]
-    build_schedule(example, search.layout)  # must not raise
+    layout = id_layout(search.layout)
+    assert sorted(layout[target[0]][-1]) == [5, 8]
+    build_schedule(example, layout)  # must not raise
 
 
 def test_no_move_available():
@@ -242,18 +263,24 @@ def test_no_move_available():
         MoveSpace(inst, [[], []])
 
 
+def test_search_rejects_an_empty_batch(example):
+    # an empty batch has no summary, so the search cannot hold it
+    with pytest.raises(ValueError, match="machine 1 row holds an empty batch"):
+        _Search(example, [[[]], []])
+    with pytest.raises(ValueError, match="machine 2 row holds an empty batch"):
+        _Search(example, [[[1]], [[3], []]])
+
+
 def test_sample_move_rejects_empty_ranges(example):
-    # an empty batch or a job without an eligible machine leaves a draw
-    # with nothing to draw from
-    with pytest.raises(ValueError, match="every batch a job"):
-        MoveSpace(example, [[[1], []], []])
+    # a job without an eligible machine leaves a draw with nothing to draw
+    # from
     j3 = example.job(3)
     no_machine = Job(j3.id, j3.attribute, j3.size, j3.release, j3.due, j3.min_time, j3.max_time,
                      frozenset())
     instance = Instance(example.machines, (*example.jobs[:2], no_machine, *example.jobs[3:]),
                         example.attribute_count, example.setup_times, example.setup_costs)
     with pytest.raises(ValueError, match="eligible machine"):
-        MoveSpace(instance, [[[1]], [[3]]])
+        MoveSpace(instance, summarized(instance, [[[1]], [[3]]]))
 
 
 def test_move_kinds_are_distinct_keys():
@@ -431,17 +458,20 @@ def _walk(instance, walk_seed, moves, events):
     Every feasible row edit is materialized as accept would do it and
     compared with schedule_machine/machine_cost; every position where the
     rescheduling tested a stretch of old batches is checked against
-    _slide_fault. A move sampled from the kept MoveSpace must be the one
-    sample_move draws from the same random state with a MoveSpace counted
-    afresh from the layout. After each accept every row and the MoveSpace
-    must equal a rebuild from scratch, and the ranges of the rows it changed
-    must be exact. events counts slides by stretch and offset sign, refused
+    _slide_fault. Every batch of an edited row, and after each accept every
+    kept batch, must be the summary of its ids, the ids in increasing order.
+    A move sampled from the kept MoveSpace must be the one sample_move draws
+    from the same random state with a MoveSpace counted afresh from the
+    layout. After each accept the layout, every row and the MoveSpace must
+    equal a rebuild from scratch, and the ranges of the rows it changed must
+    be exact. events counts slides by stretch and offset sign, refused
     slides by reason, and edits whose run and tail both slid.
     """
     weights = ObjectiveWeights.for_instance(instance)
     search = _Search(instance, layout_of(instance))
     rng = random.Random(walk_seed)
     for _ in range(moves):
+        layout = id_layout(search.layout)
         if rng.random() < 0.8:
             twin = random.Random()
             twin.setstate(rng.getstate())
@@ -449,13 +479,13 @@ def _walk(instance, walk_seed, moves, events):
             assert sample_move(search.layout, twin, MoveSpace(instance, search.layout)) == move
             assert twin.getstate() == rng.getstate()
         else:
-            move = _any_move(instance, search.layout, rng)
-        new_layout = apply_move(instance, search.layout, move)
+            move = _any_move(instance, layout, rng)
+        new_layout = apply_move(instance, layout, move)
         outcome = search.evaluate(move)
         if new_layout is None:
             assert outcome is None
             continue
-        changed = [m for m, row in enumerate(new_layout) if row is not search.layout[m]]
+        changed = [m for m, row in enumerate(new_layout) if row is not layout[m]]
         try:
             rebuilt = {
                 m: schedule_machine(instance, instance.machines[m], new_layout[m]) for m in changed
@@ -471,7 +501,8 @@ def _walk(instance, walk_seed, moves, events):
             old, edit = search.rows[m], edits[m]
             row = _materialize(instance, machine, edit)
             assert edit.old is old
-            assert edit.row == new_layout[m]
+            assert [list(batch.jobs) for batch in edit.row] == new_layout[m]
+            _check_batches(instance, edit.row)
             assert [state[1] for state in row.states[1:]] == [b.end for b in batches]
             assert row.cost == machine_cost(instance, machine, batches)
             # each stretch, the run and then the tail, is old batches in their
@@ -496,7 +527,7 @@ def _walk(instance, walk_seed, moves, events):
                     if row.states[i][0] != old.states[j][0]:
                         assert i != first
                         continue
-                    fault = _slide_fault(instance, machine, old, old_batches, j, row.states[i][1])
+                    fault = _slide_fault(instance, machine, old, layout[m], j, row.states[i][1])
                     assert (fault is None) == (i == first)
                     if fault is None:
                         assert offset == row.states[i][1] - old.states[j][1]
@@ -506,13 +537,16 @@ def _walk(instance, walk_seed, moves, events):
             assert not slides
         if rng.random() < 0.5:
             search.accept(edits, totals)
-            full = evaluate(instance, build_schedule(instance, search.layout), weights, check=True)
+            full = evaluate(instance, build_schedule(instance, new_layout), weights, check=True)
             assert totals == (full.proc_time, full.tardy, full.setup_cost)
-            fresh = _Search(instance, search.layout)
+            for row in search.layout:
+                _check_batches(instance, row)
+            fresh = _Search(instance, new_layout)
+            assert search.layout == fresh.layout
             assert search.rows == fresh.rows
             assert vars(search.space) == vars(fresh.space)
             for m in changed:
-                _check_row_ranges(instance, instance.machines[m], search.rows[m], search.layout[m])
+                _check_row_ranges(instance, instance.machines[m], search.rows[m], new_layout[m])
 
 
 @settings(max_examples=examples(60), deadline=None)
@@ -568,12 +602,14 @@ def _layout_of_sizes(sizes, seed):
 def _check_job_at(sizes, seed):
     layout = _layout_of_sizes(sizes, seed)
     instance = generate_instance(tiny_config(sum(map(sum, sizes)), seed, n_machines=len(sizes)))
-    space = MoveSpace(instance, layout)
-    assert space.row_jobs == [sum(row) for row in sizes]
+    summaries = summarized(instance, layout)
+    space = MoveSpace(instance, summaries)
+    row_jobs = [sum(row) for row in sizes]
+    assert [prefix[-1] for prefix in space.prefix_jobs] == row_jobs
     for index in range(space.jobs):
-        assert space.job_at(layout, index) == _job_at(layout, space.row_jobs, index)
+        assert space.job_at(summaries, index) == _job_at(layout, row_jobs, index)
     with pytest.raises(IndexError):
-        space.job_at(layout, space.jobs)
+        space.job_at(summaries, space.jobs)
 
 
 @pytest.mark.parametrize(
@@ -695,7 +731,7 @@ def test_sample_move_matches_the_reference_draw(sizes, seed):
     rng, twin = random.Random(seed), random.Random(seed)
     for _ in range(60):
         move = sample_move(search.layout, rng, search.space)
-        assert _reference_draw(instance, search.layout, twin) == move
+        assert _reference_draw(instance, id_layout(search.layout), twin) == move
         assert twin.getstate() == rng.getstate()
         outcome = search.evaluate(move)
         if outcome is not None and coin.random() < 0.5:
@@ -725,8 +761,8 @@ def test_kind_thresholds_follow_crossings():
         outcome = search.evaluate(move)
         assert outcome is not None
         search.accept(*outcome)
-        assert search.layout == layout
-        assert vars(search.space) == vars(MoveSpace(instance, layout))
+        assert id_layout(search.layout) == layout
+        assert vars(search.space) == vars(MoveSpace(instance, summarized(instance, layout)))
         drawn = {type(sample_move(search.layout, rng, search.space)) for _ in range(300)}
         assert drawn == kinds
 
@@ -765,6 +801,7 @@ def test_job_move_checked_on_the_kept_summary(shape, n_jobs, n_machines, instanc
     rng = random.Random(seed)
     for search in _accepted_walk(instance, rng, rng.randrange(40)):
         pass
+    layout = id_layout(search.layout)
     for _ in range(30):
         job = instance.job(rng.randrange(instance.n_jobs) + 1)
         job_id = job.id
@@ -772,25 +809,23 @@ def test_job_move_checked_on_the_kept_summary(shape, n_jobs, n_machines, instanc
         # only capacity and processing times can fail
         targets = [
             (m, b)
-            for m, row in enumerate(search.layout)
+            for m, row in enumerate(layout)
             for b, batch in enumerate(row)
             if instance.job(batch[0]).attribute == job.attribute
             and instance.machines[m].id in job.eligible
         ]
         if not targets or rng.random() < 0.5:
-            targets = [(m, b) for m, row in enumerate(search.layout) for b in range(len(row))]
+            targets = [(m, b) for m, row in enumerate(layout) for b in range(len(row))]
         target, b = rng.choice(targets)
-        host = search.layout[target][b]
-        merged = sorted([*host, job_id])
-        summary = summarize(instance, merged)
-        fault = batch_fault(instance, instance.machines[target], merged, summary)
-        edits = search.edit_rows(MoveJob(job_id, target, b, *_locate(search.layout, job_id)))
+        host = layout[target][b]
+        summary = summarize(instance, sorted([*host, job_id]))
+        fault = batch_fault(instance, instance.machines[target], summary)
+        edits = search.edit_rows(MoveJob(job_id, target, b, *_locate(layout, job_id)))
         assert (edits is None) == (job_id in host or fault is not None)
         if edits is not None:
             edit = edits[target]
-            k = next(k for k, batch in enumerate(edit.row) if job_id in batch)
-            assert edit.row[k] == merged
-            assert edit.summaries[k] == summary
+            k = next(k for k, batch in enumerate(edit.row) if job_id in batch.jobs)
+            assert edit.row[k] == summary
 
 
 # The benchmark's 500-job instance and move budget (3 cooling levels). These
@@ -992,7 +1027,7 @@ def test_interior_run_slides_on_rigid_row(move, row, run):
     search = _Search(instance, layout)
     edits, totals = search.evaluate(move)
     edit = edits[0]
-    assert edit.row == row and edit.run == run
+    assert [list(batch.jobs) for batch in edit.row] == row and edit.run == run
     first, hi, shift, offset = edit.slid[0]  # the run slid
     assert (hi, shift) == run[1:] and offset != 0
     batches = schedule_machine(instance, machine, row)
@@ -1000,7 +1035,7 @@ def test_interior_run_slides_on_rigid_row(move, row, run):
     assert [state[1] for state in materialized.states[1:]] == [b.end for b in batches]
     assert materialized.cost == edit.cost == totals == machine_cost(instance, machine, batches)
     search.accept(edits, totals)
-    assert search.rows == _Search(instance, search.layout).rows
+    assert search.rows == _Search(instance, id_layout(search.layout)).rows
 
 
 def test_warmup_evaluates_each_distinct_move_once(monkeypatch):
@@ -1076,8 +1111,9 @@ def _float_rule_run(instance, params, lb=None):
     drawn, budget = 0, params.max_moves or math.inf
 
     def finish(reason):
-        solution = greedy_solution if best_layout is None else build_schedule(instance, best_layout)
-        return [*trace, best_cost], reason, solution
+        if best_layout is None:
+            return [*trace, best_cost], reason, greedy_solution
+        return [*trace, best_cost], reason, build_schedule(instance, id_layout(best_layout))
 
     def gap_reached(cost):
         if lb is None or params.lb_gap_stop is None:

@@ -85,7 +85,7 @@ def _reference_order(instance, machine, blocks):
     or None when no order fits."""
     weights = ObjectiveWeights.for_instance(instance)
     best = None
-    for order in itertools.permutations(sorted(block.jobs for block in blocks)):
+    for order in itertools.permutations(sorted(block.summary.jobs for block in blocks)):
         try:
             batches = schedule_machine(instance, machine, order)
         except InfeasibleBatch:

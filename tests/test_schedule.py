@@ -220,6 +220,7 @@ def _reference_summary(instance, job_ids):
     jobs = [instance.job(j) for j in job_ids]
     attribute = jobs[0].attribute
     return BatchSummary(
+        tuple(job_ids),
         attribute if all(j.attribute == attribute for j in jobs) else None,
         sum(j.size for j in jobs),
         max(j.min_time for j in jobs),
